@@ -80,8 +80,9 @@ class Outcome {
  public:
   /// Counts one attempted operation; records `what` as a failure unless ok.
   void Check(bool ok, const std::string& what);
-  /// Counts `n` attempted operations that succeeded.
-  void Succeeded(int64_t n) { attempted_ += n; }
+  /// Counts one attempted operation that succeeded (Check(true, ...)
+  /// without building a message).
+  void Succeeded() { ++attempted_; }
   void Merge(const Outcome& other);
   int64_t attempted() const { return attempted_; }
   int64_t failed() const { return failed_; }
