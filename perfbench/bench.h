@@ -113,7 +113,6 @@ struct Args {
   bool trace = false;
 };
 
-RunResult RunTrainSmall(const Args& args);
 RunResult RunTrainWide(const Args& args);
 RunResult RunPlanTune(const Args& args);
 

@@ -33,9 +33,9 @@ struct ModelConfig {
   int replay_reps;      // ReplayPlan calls in the replay probe
 };
 
-/// The train_small job (plan_tune's traced run borrows it for the runtime
-/// layers).
-extern const ModelConfig kTrainSmall;
+/// The small job: plan_tune's traced run measures the runtime layers on it,
+/// at the scale where per-collective fixed cost dominates.
+extern const ModelConfig kSmallJob;
 
 /// Runs the training job for `seconds` of timed steps and fills the
 /// end-to-end metrics (untraced) or the runtime-layer metrics (traced, with

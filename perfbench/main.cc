@@ -4,7 +4,7 @@
 // exact counters. run.py builds this binary, selects the metrics that
 // BENCHMARK.json names and prints the benchmark's result line.
 //
-//   fsdp_perfbench --workload <train_small|train_wide|plan_tune>
+//   fsdp_perfbench --workload <train_wide|plan_tune>
 //                  --seed <n> --seconds <s> --trace <0|1> [--spans <file>]
 //
 // With --trace 1 the run also writes its spans (name, start, end, parent,
@@ -60,7 +60,7 @@ void WriteSpans(const std::string& path, const std::vector<Span>& spans) {
 int Usage(const char* msg) {
   std::fprintf(stderr,
                "fsdp_perfbench: %s\nusage: fsdp_perfbench --workload "
-               "<train_small|train_wide|plan_tune> --seed <n> --seconds <s> "
+               "<train_wide|plan_tune> --seed <n> --seconds <s> "
                "--trace <0|1> [--spans <file>]\n",
                msg);
   return 2;
@@ -92,9 +92,7 @@ int Main(int argc, char** argv) {
   NowUs();  // start the clock
   GlobalTracer().set_enabled(args.trace);
   RunResult r;
-  if (args.workload == "train_small") {
-    r = RunTrainSmall(args);
-  } else if (args.workload == "train_wide") {
+  if (args.workload == "train_wide") {
     r = RunTrainWide(args);
   } else if (args.workload == "plan_tune") {
     r = RunPlanTune(args);

@@ -190,7 +190,7 @@ RunResult RunPlanTune(const Args& args) {
   SetThreadTracing(true);
 
   auto& m = out.metrics;
-  m["step_ms"] = Quantile(pass_ms, 0.1);  // as for training steps
+  m["step_ms"] = Quantile(pass_ms, 0.05);  // as for training steps
   double peak = 0;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const simfsdp::SimMetrics& w = first[i].winner_metrics;
@@ -207,13 +207,10 @@ RunResult RunPlanTune(const Args& args) {
   PlanLayerProbes(inputs, first, &out);
 
   // plan_tune runs no training of its own; its runtime-layer metrics come
-  // from a short traced run of the train_small job, so every workload
-  // reports every layer. Its RSS is not reported, so it need not run the
-  // steps rss_mib waits for.
-  ModelConfig ref_cfg = kTrainSmall;
-  ref_cfg.rss_steps = 0;
+  // from a short traced run of the small job, so every workload reports
+  // every layer and the small-collective regime is measured somewhere.
   RunResult ref;
-  RunTrainingJob(ref_cfg, args, /*seconds=*/2, /*traced=*/true, &ref);
+  RunTrainingJob(kSmallJob, args, /*seconds=*/5, /*traced=*/true, &ref);
   out.outcome.Merge(ref.outcome);
   for (const auto& [name, value] : ref.metrics) {
     if (!m.count(name)) m[name] = value;
