@@ -26,7 +26,7 @@ struct ModelConfig {
   int64_t layers;
   int64_t batch;        // per rank
   int setup_reps;       // setup_s is the median of this many set-ups
-  int64_t rss_steps;    // rss_mib is read after this many training steps
+  int64_t rss_steps;    // rss_mib is read after this many steps (0: never)
   int check_steps;      // steps compared against the local reference
   int local_steps;      // steps per thread in the local-floor probe
   int comm_reps;        // calls per collective kind in the comm probe

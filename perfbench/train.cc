@@ -597,11 +597,13 @@ PlanInput PlanInputFor(const ModelConfig& cfg) {
   return p;
 }
 
-RunResult RunTrainWorkload(const ModelConfig& cfg, const Args& args) {
+}  // namespace
+
+RunResult RunTrainWide(const Args& args) {
   RunResult out;
-  RunTrainingJob(cfg, args, args.seconds, args.trace, &out);
+  RunTrainingJob(kTrainWide, args, args.seconds, args.trace, &out);
   if (args.trace) {
-    const PlanInput in = PlanInputFor(cfg);
+    const PlanInput in = PlanInputFor(kTrainWide);
     tune::TuneReport rep;
     {
       ScopedSpan s("tune.autotune");
@@ -611,12 +613,6 @@ RunResult RunTrainWorkload(const ModelConfig& cfg, const Args& args) {
     PlanLayerProbes({in}, {rep}, &out);
   }
   return out;
-}
-
-}  // namespace
-
-RunResult RunTrainWide(const Args& args) {
-  return RunTrainWorkload(kTrainWide, args);
 }
 
 }  // namespace fsdp::perfbench
