@@ -14,6 +14,42 @@ thread_local int64_t tls_step = -1;
 thread_local int tls_thread = 0;
 thread_local bool tls_tracing = true;
 
+double MatmulUs() {
+  constexpr int kM = 64, kK = 128, kN = 128;
+  thread_local std::vector<float> a(kM * kK, 0.5f), b(kK * kN, 0.25f),
+      c(kM * kN);
+  const double t0 = NowUs();
+  std::fill(c.begin(), c.end(), 0.f);
+  for (int i = 0; i < kM; ++i) {
+    for (int k = 0; k < kK; ++k) {
+      const float aik = a[i * kK + k];
+      for (int j = 0; j < kN; ++j) c[i * kN + j] += aik * b[k * kN + j];
+    }
+  }
+  asm volatile("" : : "r"(c.data()) : "memory");
+  return NowUs() - t0;
+}
+
+double LoadChainUs() {
+  constexpr uint32_t kSlots = 1 << 16, kHops = 1 << 18;
+  // One random cycle through kSlots slots (Sattolo's algorithm), 256 KiB.
+  thread_local const std::vector<uint32_t> next = [] {
+    std::vector<uint32_t> v(kSlots);
+    for (uint32_t i = 0; i < kSlots; ++i) v[i] = i;
+    uint64_t x = 88172645463325252ull;
+    for (uint32_t i = kSlots - 1; i > 0; --i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      std::swap(v[i], v[(x >> 33) % i]);
+    }
+    return v;
+  }();
+  const double t0 = NowUs();
+  uint32_t at = 0;
+  for (uint32_t h = 0; h < kHops; ++h) at = next[at];
+  asm volatile("" : : "r"(at) : "memory");
+  return NowUs() - t0;
+}
+
 }  // namespace
 
 double NowUs() {
@@ -38,6 +74,14 @@ double MaxRssMiB() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
+}
+
+double CalibrateUs(Calibration kind, int reps) {
+  std::vector<double> us;
+  for (int i = 0; i < reps; ++i) {
+    us.push_back(kind == Calibration::kMatmul ? MatmulUs() : LoadChainUs());
+  }
+  return Median(us);
 }
 
 int64_t Tracer::Begin(const char* name, int64_t step) {

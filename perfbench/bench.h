@@ -24,7 +24,27 @@ double Quantile(std::vector<double> v, double q);
 /// The process's maximum resident set size so far, in MiB.
 double MaxRssMiB();
 
+/// Fixed pieces of work that call no library code and allocate nothing,
+/// each like the work that dominates one workload: the host's slow and fast
+/// phases do not slow all code alike (README.md).
+enum class Calibration {
+  kMatmul,     // naive 64x128x128 float matrix product (training GEMMs)
+  kLoadChain,  // 2^18 dependent loads along a random cycle through 256 KiB
+};
+
+/// Median wall time (us) of `reps` runs of `kind`: the host's speed at the
+/// moment, so that wall times can be scaled to a reference speed.
+double CalibrateUs(Calibration kind, int reps);
+
+/// Calibration times of the reference host speed. A wall-time metric is
+/// reported as measured x reference / (median calibration time).
+constexpr double kRefMatmulUs = 1000;
+constexpr double kRefLoadChainUs = 1500;
+
 constexpr double kMiB = 1024.0 * 1024.0;
+
+/// The quantile of the step (or pass) times that step_ms reports.
+constexpr double kStepQuantile = 0.25;
 
 struct Span {
   std::string name;

@@ -43,6 +43,11 @@ simfsdp::SimMetrics Simulate(const tune::CompiledCandidate& cc,
       .Run();
 }
 
+/// Load-chain calibration runs after each tuning pass and after each
+/// set-up.
+constexpr int kCalibReps = 50;
+constexpr int kSetupCalibReps = 3;
+
 /// Grid points per input whose compile / envelope / simulation cost the
 /// plan-layer probe times (an even stride over the raw grid).
 constexpr size_t kGridSample = 24;
@@ -132,11 +137,13 @@ void PlanLayerProbes(const std::vector<PlanInput>& inputs,
 
 RunResult RunPlanTune(const Args& args) {
   RunResult out;
-  constexpr int kSetupReps = 15;
-  std::vector<double> setup_s;
+  constexpr int kSetupReps = 51;
+  std::vector<double> setup_s, setup_scaled_s;
   std::vector<PlanInput> inputs;
   // A set-up builds the inputs and their search spaces and ends with the
   // search's first step: the paper-default schedule compiled and simulated.
+  // Each is scaled by a calibration right after it: the host's speed at the
+  // start of the process can differ from its speed during the passes.
   for (int rep = 0; rep < kSetupReps; ++rep) {
     const double t0 = NowUs();
     inputs = AcceptanceInputs();
@@ -150,12 +157,15 @@ RunResult RunPlanTune(const Args& args) {
       if (st.ok()) Simulate(cc, in);
     }
     setup_s.push_back((NowUs() - t0) / 1e6);
+    setup_scaled_s.push_back(
+        setup_s.back() * kRefLoadChainUs /
+        CalibrateUs(Calibration::kLoadChain, kSetupCalibReps));
   }
   // The inputs are fixed; the seed only picks which one each pass tunes
   // first.
   if (args.seed % 2 == 1) std::reverse(inputs.begin(), inputs.end());
 
-  std::vector<double> pass_ms, traced_pass_ms;
+  std::vector<double> pass_ms, traced_pass_ms, calib_us;
   std::vector<tune::TuneReport> first;
   std::vector<std::string> first_sig;
   // A traced run alternates untraced and traced passes, so it needs two.
@@ -175,6 +185,7 @@ RunResult RunPlanTune(const Args& args) {
       }
     }
     (traced ? traced_pass_ms : pass_ms).push_back((NowUs() - a) / 1e3);
+    calib_us.push_back(CalibrateUs(Calibration::kLoadChain, kCalibReps));
     for (size_t i = 0; i < inputs.size(); ++i) {
       const std::string sig = SearchSignature(reports[i]);
       if (pass == 0) {
@@ -190,15 +201,22 @@ RunResult RunPlanTune(const Args& args) {
   SetThreadTracing(true);
 
   auto& m = out.metrics;
-  m["step_ms"] = Quantile(pass_ms, 0.05);  // as for training steps
+  // As for training steps: the lower quartile, scaled to the reference
+  // host speed.
+  const double calib = Median(calib_us);
+  m["step_ms"] = Quantile(pass_ms, kStepQuantile) * kRefLoadChainUs / calib;
+  m["setup_s"] = Median(setup_scaled_s);
+  m["host.calib_us"] = calib;
+  m["host.step_ms_raw"] = Quantile(pass_ms, kStepQuantile);
+  m["host.setup_s_raw"] = Median(setup_s);
   double peak = 0;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const simfsdp::SimMetrics& w = first[i].winner_metrics;
     peak = std::max(peak, static_cast<double>(w.peak_allocated) / kMiB);
     out.exact["tune." + inputs[i].name] = first_sig[i];
+    out.exact["tuned_iter_us." + inputs[i].name] = Exact(w.iter_time_us);
   }
   m["peak_mib"] = peak;
-  m["setup_s"] = Median(setup_s);
   m["rss_mib"] = MaxRssMiB();
   if (!args.trace) return out;
 

@@ -5,21 +5,22 @@
 
 Run it from the root of a source checkout. It builds perfbench/ (the
 library sources under src/ plus the fsdp_perfbench binary) into
-$CARGO_TARGET_DIR/perfbench, or .bench_build/perfbench when that variable is
-unset, runs one workload and prints, as its last line, one JSON object with
-the keys correct, attempted, failed and metrics. The metrics are the
-end_to_end ones of BENCHMARK.json with --trace 0 and the per_layer ones with
---trace 1.
+$CARGO_TARGET_DIR/perfbench-<checkout key>, with .bench_build when that
+variable is unset, runs one workload and prints, as its last line, one JSON
+object with the keys correct, attempted, failed and metrics. The metrics are
+the end_to_end ones of BENCHMARK.json with --trace 0 and the per_layer ones
+with --trace 1.
 
 Besides the binary's own checks it compares the run's exact counters with
-those of the first run of the workload in this build directory, and the
-tuned plans with perfbench/expected_plans.json; a mismatch counts as a
-failed operation. A traced run writes its spans and the per-layer table to
-the results/ directory of the build directory. The exit code is 0 only when
-every check passed.
+those of the first run of the workload on the same sources (a digest of
+src/ and perfbench/), and the tuned plans with perfbench/expected_plans.json;
+a mismatch counts as a failed operation. A traced run writes its spans and
+the per-layer table to the results/ directory of the build directory. The
+exit code is 0 only when every check passed.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -42,16 +43,30 @@ def fail(msg, code=2):
 
 
 def build_dir():
-    return ROOT / os.environ.get("CARGO_TARGET_DIR", ".bench_build") / "perfbench"
+    """One build tree per checkout, also when $CARGO_TARGET_DIR is shared."""
+    key = hashlib.sha256(str(ROOT).encode()).hexdigest()[:12]
+    return ROOT / os.environ.get("CARGO_TARGET_DIR", ".bench_build") / f"perfbench-{key}"
+
+
+def source_digest():
+    """Digest of the files the binary is built from, so that exact counters
+    are compared only between runs of the same code."""
+    h = hashlib.sha256()
+    for top in ("src", HERE.name):
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.is_file() and "__pycache__" not in path.parts:
+                h.update(str(path.relative_to(ROOT)).encode() + b"\0")
+                h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()[:16]
 
 
 def build(out):
     if not (ROOT / "src" / "CMakeLists.txt").is_file():
         fail(f"no library sources under {ROOT / 'src'}; run from a source checkout")
     quiet = {"stdout": sys.stderr, "stderr": sys.stderr}
-    if not (out / "CMakeCache.txt").is_file():
-        if subprocess.run(["cmake", "-S", str(HERE), "-B", str(out)], **quiet).returncode:
-            fail("cmake configure failed")
+    # Configuring every time makes cmake refuse a tree made from other sources.
+    if subprocess.run(["cmake", "-S", str(HERE), "-B", str(out)], **quiet).returncode:
+        fail("cmake configure failed")
     jobs = str(os.cpu_count() or 1)
     if subprocess.run(["cmake", "--build", str(out), "-j", jobs], **quiet).returncode:
         fail("build failed")
@@ -68,10 +83,10 @@ def write_atomic(path, text):
 def check_exact(out, workload, seed, exact):
     """Compares the run's exact counters with the recorded ones.
 
-    The first run of a workload in the build directory records its counters;
+    The first run of a workload on the same sources records its counters;
     counters that only a traced run measures are recorded by the first run
     that measures them. Returns (checks made, failure messages)."""
-    ref_path = out / "exact" / f"{workload}.json"
+    ref_path = out / "exact" / source_digest() / f"{workload}.json"
     ref = json.loads(ref_path.read_text()) if ref_path.is_file() else {}
     checks, failures = 0, []
     for name, value in sorted(exact.items()):
@@ -93,11 +108,11 @@ def check_plans(exact):
     expected = json.loads((HERE / "expected_plans.json").read_text())
     checks, failures = 0, []
     for name, want_us in expected["tuned_iter_us"].items():
-        sig = exact.get(f"tune.{name}")
-        if sig is None:
+        got = exact.get(f"tuned_iter_us.{name}")
+        if got is None:
             continue
         checks += 1
-        got_us = float(sig.rsplit("iter_us=", 1)[1])
+        got_us = float(got)
         if got_us > want_us:
             failures.append(f"{name}: tuned plan iterates in {got_us} us, "
                             f"the reference plan in {want_us} us")

@@ -32,7 +32,7 @@ namespace {
 
 // 4 blocks of dim 128: compute-bound, bandwidth-scale collectives.
 const ModelConfig kTrainWide{"train_wide", 256, 32, 128, 4, 4, 2,
-                             /*setup_reps=*/5, /*rss_steps=*/40,
+                             /*setup_reps=*/21, /*rss_steps=*/150,
                              /*check_steps=*/4, /*local_steps=*/12,
                              /*comm_reps=*/150, /*replay_reps=*/30};
 
@@ -40,6 +40,9 @@ constexpr int kBatchesPerRank = 8;
 /// Steps at the start of a probe loop left out of its medians (lazy
 /// optimizer state, first-touch allocations).
 constexpr int kWarmupSteps = 2;
+/// Matrix-product calibration runs per rank after each set-up and at the
+/// start of each block of kTraceBlock window steps.
+constexpr int kCalibReps = 5;
 /// The timed window runs at least this many steps, even past `--seconds`.
 constexpr int64_t kMinWindowSteps = 5;
 /// A traced run alternates traced and untraced blocks of this many steps,
@@ -134,6 +137,7 @@ Tensor TrainStep(nn::Module& model, optim::Adam& adam, const RankData& data,
 /// Everything one FSDP training run records (rank 0 unless noted).
 struct TrainRecord {
   std::vector<double> setup_s;        // one per set-up
+  std::vector<double> setup_calib_us; // calibration right after each set-up
   std::vector<double> step_ms;        // window steps run untraced
   std::vector<double> traced_step_ms; // window steps run traced
   int64_t first_window_step = 0;
@@ -141,6 +145,7 @@ struct TrainRecord {
   double window_s = 0;
   double peak_mib = 0;
   double rss_mib = 0;
+  std::vector<double> calib_us;       // one per window block
   comm::CommStats comm_before, comm_after;
   int64_t log_before = 0, log_after = 0;
   int waits_before = 0, waits_after = 0;
@@ -171,7 +176,7 @@ TrainRecord RunFsdp(const ModelConfig& cfg, const std::vector<RankData>& data,
     comm::DeviceMesh mesh(kWorld, kWorld);
     std::barrier<> sync(kWorld);
     std::atomic<int64_t> stop_after{std::numeric_limits<int64_t>::max()};
-    double setup_end = 0, w0 = 0;
+    double setup_end = 0, setup_calib = 0, w0 = 0;
     RunOnRanks(kWorld, [&](int r) {
       SetSpanThread(r);
       Outcome& outcome = rec.outcomes[static_cast<size_t>(r)];
@@ -199,6 +204,9 @@ TrainRecord RunFsdp(const ModelConfig& cfg, const std::vector<RankData>& data,
       run_step(/*check=*/last);  // the first step ends the set-up
       sync.arrive_and_wait();
       if (r == 0) setup_end = NowUs();
+      // Both ranks calibrate at once, as both compute in a step.
+      const double calib = CalibrateUs(Calibration::kMatmul, kCalibReps);
+      if (r == 0) setup_calib = calib;
       if (!last) return;
 
       while (step < cfg.check_steps) run_step(/*check=*/true);
@@ -217,6 +225,10 @@ TrainRecord RunFsdp(const ModelConfig& cfg, const std::vector<RankData>& data,
       for (int64_t i = 0; i < stop_after.load(); ++i) {
         const bool traced_block = traced && (i / kTraceBlock) % 2 == 1;
         SetThreadTracing(traced_block);
+        if (i % kTraceBlock == 0) {
+          const double us = CalibrateUs(Calibration::kMatmul, kCalibReps);
+          if (r == 0) rec.calib_us.push_back(us);
+        }
         const double a = NowUs();
         run_step(/*check=*/false);
         if (r != 0) continue;
@@ -253,6 +265,7 @@ TrainRecord RunFsdp(const ModelConfig& cfg, const std::vector<RankData>& data,
       rec.plans[static_cast<size_t>(r)] = st->ExpectedStepPlan();
     });
     rec.setup_s.push_back((setup_end - t0) / 1e6);
+    rec.setup_calib_us.push_back(setup_calib);
   }
   return rec;
 }
@@ -511,15 +524,26 @@ void RunTrainingJob(const ModelConfig& cfg, const Args& args, double seconds,
 
   auto& m = out->metrics;
   const double steps = static_cast<double>(rec.window_steps);
-  // The 5th percentile: on a shared VM the hypervisor takes CPU time away
-  // (steal) in bursts, and the steps it slows down move the median by up
-  // to 2x from run to run but move the fast tail far less.
-  m["step_ms"] = Quantile(rec.step_ms, 0.05);
+  // The lower quartile: on a shared VM the hypervisor takes CPU time away
+  // (steal) in bursts, which moves the median from run to run more than
+  // the fast steps. Step and set-up times are scaled to the reference host
+  // speed (README.md), each set-up by the calibration right after it.
+  const double raw_step_ms = Quantile(rec.step_ms, kStepQuantile);
+  const double calib_us = Median(rec.calib_us);
+  std::vector<double> setup_scaled_s;
+  for (size_t i = 0; i < rec.setup_s.size(); ++i) {
+    setup_scaled_s.push_back(rec.setup_s[i] * kRefMatmulUs /
+                             rec.setup_calib_us[i]);
+  }
+  m["step_ms"] = raw_step_ms * kRefMatmulUs / calib_us;
+  m["setup_s"] = Median(setup_scaled_s);
+  m["host.calib_us"] = calib_us;
+  m["host.step_ms_raw"] = raw_step_ms;
+  m["host.setup_s_raw"] = Median(rec.setup_s);
   m["train.step_p50_ms"] = Median(rec.step_ms);
   m["train.samples_per_s"] = steps * cfg.batch * kWorld / rec.window_s;
   m["peak_mib"] = rec.peak_mib;
   m["rss_mib"] = rec.rss_mib;
-  m["setup_s"] = Median(rec.setup_s);
   m["train.step_p90_ms"] = Quantile(rec.step_ms, 0.9);
 
   const comm::CommStats& a = rec.comm_before;
@@ -610,6 +634,8 @@ RunResult RunTrainWide(const Args& args) {
       rep = TuneChecked(in, &out.outcome);
     }
     out.exact["tune." + in.name] = SearchSignature(rep);
+    out.exact["tuned_iter_us." + in.name] =
+        Exact(rep.winner_metrics.iter_time_us);
     PlanLayerProbes({in}, {rep}, &out);
   }
   return out;
