@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the functional layer's kernels and
 // autograd ops — the substrate the correctness tests run on. Not a figure
 // reproduction; useful for tracking the library's own performance.
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "autograd/engine.h"
@@ -24,6 +26,45 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+
+// The three GEMMs of ops::Linear on 64 rows, at the perfbench train_wide
+// layer shapes: forward x * W^T (NT), input gradient g * W (NN) and weight
+// gradient g^T * x (TN). Args are {in, out} features.
+enum class LinearGemm { kForwardNT, kInputGradNN, kWeightGradTN };
+
+void BM_GemmLinear(benchmark::State& state, LinearGemm variant) {
+  const int64_t rows = 64, in = state.range(0), out = state.range(1);
+  Rng rng(6, 0);
+  Tensor x = Tensor::Randn({rows, in}, rng);
+  Tensor w = Tensor::Randn({out, in}, rng);
+  Tensor g = Tensor::Randn({rows, out}, rng);
+  Tensor c = Tensor::Empty({std::max({rows * out, rows * in, out * in})});
+  for (auto _ : state) {
+    switch (variant) {
+      case LinearGemm::kForwardNT:
+        kernels::Gemm(x.data(), w.data(), c.data(), rows, out, in, false, true,
+                      false);
+        break;
+      case LinearGemm::kInputGradNN:
+        kernels::Gemm(g.data(), w.data(), c.data(), rows, in, out, false,
+                      false, false);
+        break;
+      case LinearGemm::kWeightGradTN:
+        kernels::Gemm(g.data(), x.data(), c.data(), out, in, rows, true, false,
+                      false);
+        break;
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * in * out);
+}
+BENCHMARK_CAPTURE(BM_GemmLinear, NT, LinearGemm::kForwardNT)
+    ->Args({128, 128})->Args({128, 384})->Args({128, 512})->Args({512, 128});
+BENCHMARK_CAPTURE(BM_GemmLinear, NN, LinearGemm::kInputGradNN)
+    ->Args({128, 128})->Args({128, 384})->Args({128, 512})->Args({512, 128});
+BENCHMARK_CAPTURE(BM_GemmLinear, TN, LinearGemm::kWeightGradTN)
+    ->Args({128, 128})->Args({128, 384})->Args({128, 512})->Args({512, 128});
 
 void BM_LayerNormForward(benchmark::State& state) {
   const int64_t rows = 256, cols = state.range(0);

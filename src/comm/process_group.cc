@@ -88,6 +88,55 @@ std::string FormatMs(double ms) {
   return os.str();
 }
 
+/// One block of ReduceSlots. Inlined, so the full-block call sees a constant
+/// `len` and its loops vectorize.
+[[gnu::always_inline]] inline void ReduceBlock(const float* const* slots,
+                                               int w, int64_t off, int64_t len,
+                                               ReduceOp op, DType comm_dtype,
+                                               float* acc) {
+  const bool quantize = comm_dtype != DType::kF32;
+  std::memcpy(acc, slots[0] + off, static_cast<size_t>(len) * 4);
+  for (int k = 1; k < w; ++k) {
+    const float* src = slots[k] + off;
+    if (op == ReduceOp::kMax) {
+      for (int64_t i = 0; i < len; ++i) acc[i] = std::max(acc[i], src[i]);
+    } else {
+      for (int64_t i = 0; i < len; ++i) acc[i] += src[i];
+    }
+    if (quantize) {
+      for (int64_t i = 0; i < len; ++i) acc[i] = Quantize(acc[i], comm_dtype);
+    }
+  }
+  if (op == ReduceOp::kAvg) {
+    const float ranks = static_cast<float>(w);
+    for (int64_t i = 0; i < len; ++i) acc[i] /= ranks;
+    if (quantize) {
+      for (int64_t i = 0; i < len; ++i) acc[i] = Quantize(acc[i], comm_dtype);
+    }
+  }
+}
+
+/// dst[i] = reduction of slots[0..w-1][off + i] for i < n: slot 0, then each
+/// further slot in rank order, quantized through comm_dtype after every
+/// combine; kAvg then divides by w and quantizes again. Works rank-outer and
+/// element-inner over blocks, so op and dtype are tested once per block and
+/// each element still sees the same operations in the same order. dst may
+/// alias the slots' [off, off + n) range.
+void ReduceSlots(const float* const* slots, int w, int64_t off, int64_t n,
+                 ReduceOp op, DType comm_dtype, float* dst) {
+  constexpr int64_t kBlock = 512;
+  float acc[kBlock];
+  for (int64_t lo = 0; lo < n; lo += kBlock) {
+    const int64_t len = std::min(kBlock, n - lo);
+    if (len == kBlock) {
+      ReduceBlock(slots, w, off + lo, kBlock, op, comm_dtype, acc);
+    } else {
+      ReduceBlock(slots, w, off + lo, len, op, comm_dtype, acc);
+    }
+    std::memcpy(dst + lo, acc, static_cast<size_t>(len) * 4);
+  }
+}
+
 /// "ranks 0,2,3" (or "rank 0") for diagnosis messages.
 std::string RankList(const std::vector<int>& ranks) {
   std::string out = ranks.size() == 1 ? "rank " : "ranks ";
@@ -973,20 +1022,9 @@ bool ProcessGroup::RunReduceScatter(Communicator* c, int rank, float* dst,
   const int w = c->size_;
   c->src_slots_[rank] = src;
   if (!c->BodySync()) return false;
-  const int64_t off = static_cast<int64_t>(rank) * numel_per_rank;
-  for (int64_t i = 0; i < numel_per_rank; ++i) {
-    float acc = c->src_slots_[0][off + i];
-    for (int k = 1; k < w; ++k) {
-      const float v = c->src_slots_[k][off + i];
-      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    if (op == ReduceOp::kAvg) {
-      acc /= static_cast<float>(w);
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    dst[i] = acc;
-  }
+  ReduceSlots(c->src_slots_.data(), w,
+              static_cast<int64_t>(rank) * numel_per_rank, numel_per_rank, op,
+              comm_dtype, dst);
   return c->BodySync();
 }
 
@@ -1008,19 +1046,8 @@ bool ProcessGroup::RunAllReduce(Communicator* c, int rank, float* buf,
   const int64_t chunk = (numel + w - 1) / w;
   const int64_t lo = std::min<int64_t>(rank * chunk, numel);
   const int64_t hi = std::min<int64_t>(lo + chunk, numel);
-  for (int64_t i = lo; i < hi; ++i) {
-    float acc = c->src_slots_[0][i];
-    for (int k = 1; k < w; ++k) {
-      const float v = c->src_slots_[k][i];
-      acc = (op == ReduceOp::kMax) ? std::max(acc, v) : acc + v;
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    if (op == ReduceOp::kAvg) {
-      acc /= static_cast<float>(w);
-      if (comm_dtype != DType::kF32) acc = Quantize(acc, comm_dtype);
-    }
-    c->scratch_[static_cast<size_t>(i)] = acc;
-  }
+  ReduceSlots(c->src_slots_.data(), w, lo, hi - lo, op, comm_dtype,
+              c->scratch_.data() + lo);
   if (!c->BodySync()) return false;
   std::memcpy(buf, c->scratch_.data(), static_cast<size_t>(numel) * 4);
   return c->BodySync();

@@ -3,45 +3,202 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 namespace fsdp::kernels {
 
-void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
-          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
-  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
-  // Index helpers: A logical (m x k), B logical (k x n).
-  auto a_at = [&](int64_t i, int64_t p) {
-    return trans_a ? a[p * m + i] : a[i * k + p];
-  };
+namespace {
+
+// Columns of C per packed panel of B, and rows of C per register tile.
+constexpr int64_t kPanelCols = 16;
+constexpr int64_t kTileRows = 4;
+
+// GCC vector types. V4 fits the baseline vector registers of x86-64 (SSE2)
+// and AArch64 (NEON). V8 is used only in code compiled for AVX2: built
+// without AVX it is split into 16-byte halves and runs slower than scalar
+// code.
+typedef float V4 __attribute__((vector_size(16)));
+typedef float V8 __attribute__((vector_size(32)));
+
+/// One row of a packed panel of B. The alignment lets the micro-kernel load
+/// it with aligned whole-vector moves.
+struct alignas(64) PanelRow {
+  float v[kPanelCols];
+};
+
+/// This thread's scratch for one packed k x kPanelCols panel of B.
+PanelRow* PanelScratch(int64_t k) {
+  thread_local std::vector<PanelRow> panel;
+  if (static_cast<int64_t>(panel.size()) < k) {
+    panel.resize(static_cast<size_t>(k));
+  }
+  return panel.data();
+}
+
+/// Copies columns [j0, j0 + cols) of logical B (k x n) into panel rows
+/// 0..k-1, zero-filling columns past `cols`. With trans_b, B is stored
+/// (n x k) and the copy transposes it.
+void PackPanel(const float* b, PanelRow* panel, int64_t n, int64_t k,
+               int64_t j0, int64_t cols, bool trans_b) {
+  if (cols < kPanelCols) std::fill(panel, panel + k, PanelRow{});
   if (!trans_b) {
-    // ikj loop order: streams B and C rows; the common case (forward and
-    // dX = dY @ W with W pre-transposed handled via trans flags below).
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = a_at(i, p);
-        if (av == 0.f) continue;
-        const float* brow = b + p * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      }
+    for (int64_t p = 0; p < k; ++p) {
+      std::memcpy(panel[p].v, b + p * n + j0, static_cast<size_t>(cols) * 4);
     }
   } else {
-    // B stored (n x k): dot products along contiguous B rows.
-    for (int64_t i = 0; i < m; ++i) {
-      float* crow = c + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
-        float acc = 0.f;
-        if (!trans_a) {
-          const float* arow = a + i * k;
-          for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        } else {
-          for (int64_t p = 0; p < k; ++p) acc += a[p * m + i] * brow[p];
-        }
-        crow[j] += acc;
+    for (int64_t j = 0; j < cols; ++j) {
+      const float* bcol = b + (j0 + j) * k;
+      for (int64_t p = 0; p < k; ++p) panel[p].v[j] = bcol[p];
+    }
+  }
+}
+
+/// One R x kPanelCols tile of C held in registers. a(r, p) is
+/// a[r * a_row + p * a_step]. Every element is c (when load_c) or 0, plus
+/// a(r, p) * panel(p, .) for p = 0..k-1 in order, each product rounded
+/// before its add; with add_to_c the finished sum is then added to c.
+template <typename V, int64_t R>
+[[gnu::always_inline]] inline void MicroTile(const float* a, int64_t a_row,
+                                             int64_t a_step,
+                                             const PanelRow* panel, int64_t k,
+                                             float* c, int64_t ldc,
+                                             bool load_c, bool add_to_c) {
+  constexpr int64_t kLanes = sizeof(V) / sizeof(float);
+  constexpr int64_t kVecs = kPanelCols / kLanes;
+  // Unrolled so that acc lives in registers.
+  V acc[R][kVecs];
+#pragma GCC unroll 4
+  for (int64_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < kVecs; ++v) {
+      acc[r][v] = V{};
+      if (load_c) std::memcpy(&acc[r][v], c + r * ldc + v * kLanes, sizeof(V));
+    }
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    V bv[kVecs];
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < kVecs; ++v) {
+      std::memcpy(&bv[v], panel[p].v + v * kLanes, sizeof(V));
+    }
+#pragma GCC unroll 4
+    for (int64_t r = 0; r < R; ++r) {
+      const float av = a[r * a_row + p * a_step];
+#pragma GCC unroll 4
+      for (int64_t v = 0; v < kVecs; ++v) acc[r][v] += av * bv[v];
+    }
+  }
+#pragma GCC unroll 4
+  for (int64_t r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int64_t v = 0; v < kVecs; ++v) {
+      float* dst = c + r * ldc + v * kLanes;
+      if (add_to_c) {
+        V cv;
+        std::memcpy(&cv, dst, sizeof cv);
+        acc[r][v] = cv + acc[r][v];
+      }
+      std::memcpy(dst, &acc[r][v], sizeof(V));
+    }
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void Tile(int64_t rows, const float* a,
+                                        int64_t a_row, int64_t a_step,
+                                        const PanelRow* panel, int64_t k,
+                                        float* c, int64_t ldc, bool load_c,
+                                        bool add_to_c) {
+  switch (rows) {
+    case 4:
+      return MicroTile<V, 4>(a, a_row, a_step, panel, k, c, ldc, load_c,
+                             add_to_c);
+    case 3:
+      return MicroTile<V, 3>(a, a_row, a_step, panel, k, c, ldc, load_c,
+                             add_to_c);
+    case 2:
+      return MicroTile<V, 2>(a, a_row, a_step, panel, k, c, ldc, load_c,
+                             add_to_c);
+    default:
+      return MicroTile<V, 1>(a, a_row, a_step, panel, k, c, ldc, load_c,
+                             add_to_c);
+  }
+}
+
+template <typename V>
+[[gnu::always_inline]] inline void PackedGemm(const float* a, const float* b,
+                                              float* c, int64_t m, int64_t n,
+                                              int64_t k, bool trans_a,
+                                              bool trans_b, bool accumulate) {
+  const int64_t a_row = trans_a ? 1 : k;
+  const int64_t a_step = trans_a ? m : 1;
+  // Without trans_b, C accumulates term by term; with it, each finished dot
+  // product is added to C. A zero a(i, p) is multiplied like any other: for
+  // finite b, adding 0 * b changes no sum except -0 (C entering as -0 with
+  // accumulate), which becomes +0.
+  const bool load_c = accumulate && !trans_b;
+  const bool add_to_c = accumulate && trans_b;
+  PanelRow* panel = PanelScratch(k);
+  for (int64_t j0 = 0; j0 < n; j0 += kPanelCols) {
+    const int64_t cols = std::min(kPanelCols, n - j0);
+    PackPanel(b, panel, n, k, j0, cols, trans_b);
+    for (int64_t i0 = 0; i0 < m; i0 += kTileRows) {
+      const int64_t rows = std::min(kTileRows, m - i0);
+      const float* at = a + i0 * a_row;
+      float* ct = c + i0 * n + j0;
+      if (cols == kPanelCols) {
+        Tile<V>(rows, at, a_row, a_step, panel, k, ct, n, load_c, add_to_c);
+        continue;
+      }
+      // Edge panel: run the full-width tile on a copy of C's columns.
+      float edge[kTileRows * kPanelCols] = {};
+      for (int64_t r = 0; accumulate && r < rows; ++r) {
+        std::memcpy(edge + r * kPanelCols, ct + r * n,
+                    static_cast<size_t>(cols) * 4);
+      }
+      Tile<V>(rows, at, a_row, a_step, panel, k, edge, kPanelCols, load_c,
+              add_to_c);
+      for (int64_t r = 0; r < rows; ++r) {
+        std::memcpy(ct + r * n, edge + r * kPanelCols,
+                    static_cast<size_t>(cols) * 4);
       }
     }
   }
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// AVX2 without FMA: products stay rounded before their adds.
+[[gnu::target("avx2")]] void GemmAvx2(const float* a, const float* b, float* c,
+                                      int64_t m, int64_t n, int64_t k,
+                                      bool trans_a, bool trans_b,
+                                      bool accumulate) {
+  PackedGemm<V8>(a, b, c, m, n, k, trans_a, trans_b, accumulate);
+}
+#endif
+
+using GemmFn = void (*)(const float*, const float*, float*, int64_t, int64_t,
+                        int64_t, bool, bool, bool);
+
+GemmFn SelectGemm() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) return GemmAvx2;
+#endif
+  return GemmPortable;
+}
+
+}  // namespace
+
+void GemmPortable(const float* a, const float* b, float* c, int64_t m,
+                  int64_t n, int64_t k, bool trans_a, bool trans_b,
+                  bool accumulate) {
+  PackedGemm<V4>(a, b, c, m, n, k, trans_a, trans_b, accumulate);
+}
+
+void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
+          int64_t k, bool trans_a, bool trans_b, bool accumulate) {
+  static const GemmFn impl = SelectGemm();
+  impl(a, b, c, m, n, k, trans_a, trans_b, accumulate);
 }
 
 void Add(const float* a, const float* b, float* out, int64_t n) {

@@ -2,8 +2,17 @@
 //
 // These are the "CUDA kernels" of the functional layer: pure math with no
 // autograd knowledge. The autograd ops (autograd/ops.h) compose forward and
-// backward passes from these primitives. Kept simple and cache-friendly; the
-// library's performance claims live in the simulator, not here.
+// backward passes from these primitives.
+//
+// Gemm is a packed, register-tiled kernel. For each 16-column panel of C it
+// copies that panel of B into a contiguous k x 16 per-thread buffer
+// (transposing B when trans_b), then sweeps 4-row x 16-column tiles of C held
+// in vector registers: broadcast a(i, p), multiply by the panel row, add, for
+// p = 0..k-1 in order. Products are rounded before their adds (no FMA), so
+// each element of C is the same k-ordered float sum as in the textbook
+// triple loop, bit for bit, on every instruction set. The vector width is
+// chosen once per process: AVX2 when the CPU has it, else 16 bytes (SSE2 on
+// x86-64, NEON on AArch64).
 #pragma once
 
 #include <cstdint>
@@ -12,9 +21,16 @@ namespace fsdp::kernels {
 
 /// General matrix multiply: C[m,n] (+)= A op B with optional transposes.
 /// A is (m x k) if !trans_a else (k x m); B is (k x n) if !trans_b else
-/// (n x k). If `accumulate` is false, C is overwritten.
+/// (n x k). If `accumulate` is false, C is overwritten. With `accumulate`
+/// and !trans_b, each product is added to C in k order; with trans_b, the
+/// finished k-ordered sum is added to C.
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool trans_a, bool trans_b, bool accumulate);
+/// Gemm on the 16-byte vector path, which Gemm takes on CPUs without AVX2;
+/// callable directly so tests check it on any host.
+void GemmPortable(const float* a, const float* b, float* c, int64_t m,
+                  int64_t n, int64_t k, bool trans_a, bool trans_b,
+                  bool accumulate);
 
 /// out[i] = a[i] + b[i].
 void Add(const float* a, const float* b, float* out, int64_t n);

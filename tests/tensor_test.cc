@@ -1,6 +1,8 @@
 // Unit tests for the tensor core: dtypes, storage, views, in-place math.
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -217,6 +219,77 @@ TEST(KernelsTest, GemmAllTransposeVariants) {
   // Accumulate doubles the result.
   kernels::Gemm(a.data(), b.data(), c, 2, 2, 3, false, false, true);
   EXPECT_FLOAT_EQ(c[0], 2 * expect[0]);
+}
+
+/// The textbook float Gemm: every C element is summed in k order, each
+/// product rounded before its add, zero a(i, p) skipped without trans_b, and
+/// with trans_b the finished dot product added to C.
+void ReferenceGemm(const float* a, const float* b, float* c, int64_t m,
+                   int64_t n, int64_t k, bool trans_a, bool trans_b,
+                   bool accumulate) {
+  if (!accumulate) std::memset(c, 0, static_cast<size_t>(m * n) * 4);
+  auto a_at = [&](int64_t i, int64_t p) {
+    return trans_a ? a[p * m + i] : a[i * k + p];
+  };
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    if (!trans_b) {
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = a_at(i, p);
+        if (av == 0.f) continue;
+        for (int64_t j = 0; j < n; ++j) crow[j] += av * b[p * n + j];
+      }
+    } else {
+      for (int64_t j = 0; j < n; ++j) {
+        float acc = 0.f;
+        for (int64_t p = 0; p < k; ++p) acc += a_at(i, p) * b[j * k + p];
+        crow[j] += acc;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, GemmBitwiseMatchesKOrderedReference) {
+  using GemmFn = void (*)(const float*, const float*, float*, int64_t,
+                          int64_t, int64_t, bool, bool, bool);
+  const GemmFn kernels_under_test[] = {kernels::Gemm, kernels::GemmPortable};
+  Rng rng(12, 0);
+  auto fill = [&](std::vector<float>& v, size_t size, double zero_frac) {
+    v.resize(size);
+    for (float& x : v) {
+      x = rng.NextUniform() < zero_frac
+              ? 0.f
+              : static_cast<float>(rng.NextUniform(-2, 2));
+    }
+  };
+  std::vector<float> a, b, c0;
+  for (int64_t m : {1, 3, 4, 5, 64, 65}) {
+    for (int64_t n : {1, 15, 16, 17, 384}) {
+      for (int64_t k : {1, 2, 64, 513}) {
+        // A holds exact zeros, like causal-softmax probabilities.
+        fill(a, static_cast<size_t>(m * k), 0.3);
+        fill(b, static_cast<size_t>(k * n), 0.0);
+        fill(c0, static_cast<size_t>(m * n), 0.0);
+        for (int variant = 0; variant < 8; ++variant) {
+          const bool trans_a = variant & 1, trans_b = variant & 2;
+          const bool accumulate = variant & 4;
+          std::vector<float> want = c0;
+          ReferenceGemm(a.data(), b.data(), want.data(), m, n, k, trans_a,
+                        trans_b, accumulate);
+          for (GemmFn gemm : kernels_under_test) {
+            std::vector<float> got = c0;
+            gemm(a.data(), b.data(), got.data(), m, n, k, trans_a, trans_b,
+                 accumulate);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(), want.size() * 4), 0)
+                << "m=" << m << " n=" << n << " k=" << k
+                << " trans_a=" << trans_a << " trans_b=" << trans_b
+                << " accumulate=" << accumulate
+                << (gemm == kernels::Gemm ? " Gemm" : " GemmPortable");
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelsTest, SoftmaxRowsSumToOne) {
