@@ -11,10 +11,12 @@
 //            (one exposed latency, the rest hidden under compute)
 //
 // The measured speedup is the paper's Sec 3.3 overlap claim reproduced on the
-// real thread-per-rank substrate rather than the simulator. The binary
-// aborts if async fails to beat sync at the largest configuration, so it
-// doubles as the `async_comm_smoke` ctest entry. Rows land in
-// BENCH_async_comm.json.
+// real thread-per-rank substrate rather than the simulator. Each schedule is
+// timed as the minimum of several runs. The binary aborts if async fails to
+// beat sync by 1.15x on at least one configuration, so it doubles as the
+// `async_comm_smoke` ctest entry. Rows land in BENCH_async_comm.json.
+#include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -109,14 +111,24 @@ int main() {
       {8, 8, 500, 500},
   };
 
+  // Each schedule's time is its minimum over kRuns runs: preemption on a
+  // loaded box only ever adds time, so the minimum is the least noisy
+  // estimate of what the schedule costs.
+  constexpr int kRuns = 5;
   std::vector<bench::JsonRow> rows;
   double best_speedup = 0;
   for (const Config& c : configs) {
     // Warm the worker threads, then measure.
     RunPipeline(c.world, 2, 256, 0, 0);
-    PipelineResult r =
-        RunPipeline(c.world, c.units, /*numel_per_rank=*/1024, c.latency_us,
-                    c.compute_us);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    PipelineResult r{kInf, kInf};
+    for (int run = 0; run < kRuns; ++run) {
+      const PipelineResult p =
+          RunPipeline(c.world, c.units, /*numel_per_rank=*/1024,
+                      c.latency_us, c.compute_us);
+      r.sync_ms = std::min(r.sync_ms, p.sync_ms);
+      r.async_ms = std::min(r.async_ms, p.async_ms);
+    }
     const double speedup = r.sync_ms / r.async_ms;
     best_speedup = std::max(best_speedup, speedup);
     bench::Row("%6d %6d %10.0f %10.0f %10.2f %10.2f %7.2fx", c.world, c.units,

@@ -212,16 +212,21 @@ double Work::complete_us() const {
 // ---------------------------------------------------------------------------
 // Communicator: comm-worker runtime
 
-Communicator::Communicator(int size)
+Communicator::Communicator(int size, std::shared_ptr<FailureDomain> domain)
     : size_(size), barrier_(size), src_slots_(size, nullptr),
       dst_slots_(size, nullptr), count_slots_(size, 0),
-      rank_stats_(size), queues_(size), flight_(size), progress_(size),
-      sig_slots_(size) {
+      rank_stats_(size), domain_(std::move(domain)), queues_(size),
+      flight_(size), progress_(size), sig_slots_(size) {
   FSDP_CHECK_MSG(size > 0, "communicator size must be positive");
+  if (domain_) domain_->Join(this);
 }
 
 Communicator::~Communicator() {
-  // The watchdog goes first: it must not fire (dump + abort) while the rest
+  // Leave the failure domain before joining any thread: once Leave returns,
+  // no abort walk can reach this communicator, and an in-flight walk has
+  // finished with it.
+  if (domain_) domain_->Leave(this);
+  // The watchdog goes next: it must not fire (dump + abort) while the rest
   // of the teardown races it.
   if (watchdog_started_.load(std::memory_order_acquire)) {
     {
@@ -236,7 +241,7 @@ Communicator::~Communicator() {
   // parked in a hang/crash and peers stuck in body barriers; abort releases
   // all of them so the drain below terminates.
   if (faults_injected_.load(std::memory_order_relaxed) && !aborted()) {
-    Abort(Status::Internal(
+    AbortLocal(Status::Internal(
         "communicator '" + name_ + "' destroyed with scripted faults armed"));
   }
   // Drain-then-join: flag stop, but workers keep executing queued ops until
@@ -511,17 +516,18 @@ void Communicator::CompleteOp(int comm_rank, CommOp& op, Status status,
     // parked op was error-completed by an abort.
   }
   flight_.OnFinished(comm_rank, op.seq, end, final_state);
-  std::vector<Tensor> keepalive;
+  // Pinned tensors release before the op is published complete, so a caller
+  // that sees completion never finds them still pinned. Only the issuing
+  // rank thread (before the enqueue) and this worker touch keepalive, so no
+  // lock is needed.
+  op.work->keepalive.clear();
   {
     std::lock_guard<std::mutex> lock(op.work->mu);
     op.work->complete_us = end;
     op.work->status = std::move(status);
     op.work->done = true;
-    keepalive = std::move(op.work->keepalive);
   }
   op.work->cv.notify_all();
-  // Pinned tensors release here, outside the completion lock.
-  keepalive.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -608,36 +614,40 @@ Communicator::Mailbox& Communicator::MailboxFor(int src, int dst) {
   return *slot;
 }
 
-void Communicator::LinkAbortPeer(std::weak_ptr<Communicator> peer) {
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  abort_peers_.push_back(std::move(peer));
+void FailureDomain::Join(Communicator* member) {
+  std::lock_guard<std::mutex> lock(mu_);
+  members_.push_back(member);
 }
 
-void Communicator::PropagateAbort() {
-  std::vector<std::weak_ptr<Communicator>> peers;
-  {
-    std::lock_guard<std::mutex> lock(peers_mu_);
-    peers = abort_peers_;
-  }
-  if (peers.empty()) return;
-  const Status st = abort_status();
-  const Status forwarded = Status::Internal(
-      "aborted by linked communicator '" + name_ + "': " +
-      (st.ok() ? std::string("communicator aborted") : st.message()));
-  for (auto& wp : peers) {
-    if (auto p = wp.lock()) p->Abort(forwarded);  // first-abort-wins stops it
+void FailureDomain::Leave(Communicator* member) {
+  std::lock_guard<std::mutex> lock(mu_);
+  members_.erase(std::find(members_.begin(), members_.end(), member));
+}
+
+void FailureDomain::AbortOthers(const Communicator* origin,
+                                const Status& status) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (Communicator* m : members_) {
+    if (m != origin) m->AbortLocal(status);
   }
 }
 
-bool Communicator::AbortImpl(Status status, WatchdogDiagnosis* diag) {
-  if (!ClaimAbort(std::move(status), diag)) return false;
+void Communicator::AbortDomain() {
+  if (!domain_) return;
+  domain_->AbortOthers(
+      this, Status::Internal("aborted with communicator '" + name_ +
+                             "' of the same failure domain: " +
+                             abort_status().message()));
+}
+
+bool Communicator::AbortLocal(Status status) {
+  if (!ClaimAbort(std::move(status), nullptr)) return false;
   WakeAllAfterAbort();
-  PropagateAbort();
   return true;
 }
 
 void Communicator::Abort(Status status) {
-  AbortImpl(std::move(status), nullptr);
+  if (AbortLocal(std::move(status))) AbortDomain();
 }
 
 Status Communicator::abort_status() const {
@@ -672,7 +682,7 @@ void Communicator::AbortWithDiagnosis(WatchdogDiagnosis diag,
   // the flight-recorder JSON (and flight_dump_path()) is already on disk.
   DumpFlightRecorder();
   WakeAllAfterAbort();
-  PropagateAbort();
+  AbortDomain();
 }
 
 void Communicator::EnsureWatchdogStarted() {
@@ -1327,24 +1337,15 @@ Work ProcessGroup::Broadcast(Tensor buf, int root,
 // ---------------------------------------------------------------------------
 // DeviceMesh
 
-DeviceMesh::DeviceMesh(int world_size, int sharding_factor)
-    : world_size_(world_size), sharding_factor_(sharding_factor) {
+DeviceMesh::DeviceMesh(int world_size, int sharding_factor) {
   FSDP_CHECK_MSG(sharding_factor >= 1 && sharding_factor <= world_size,
                  "sharding factor " << sharding_factor << " out of [1, "
                                     << world_size << "]");
   FSDP_CHECK_MSG(world_size % sharding_factor == 0,
                  "sharding factor must divide world size");
-  world_ = std::make_shared<Communicator>(world_size);
-  world_->SetName("world");
-  const int num_shard = world_size / sharding_factor;
-  for (int g = 0; g < num_shard; ++g) {
-    shard_groups_.push_back(std::make_shared<Communicator>(sharding_factor));
-    shard_groups_.back()->SetName("shard" + std::to_string(g));
-  }
-  for (int g = 0; g < sharding_factor; ++g) {
-    replicate_groups_.push_back(std::make_shared<Communicator>(num_shard));
-    replicate_groups_.back()->SetName("replicate" + std::to_string(g));
-  }
+  Build({{"replicate", world_size / sharding_factor},
+         {"shard", sharding_factor}},
+        nullptr, std::make_shared<FailureDomain>(), "");
 }
 
 Status DeviceMesh::Create(int world_size, std::vector<MeshAxis> axes,
@@ -1379,25 +1380,37 @@ Status DeviceMesh::Create(int world_size, std::vector<MeshAxis> axes,
         ", which does not divide up world size " + std::to_string(world_size));
   }
   auto mesh = std::shared_ptr<DeviceMesh>(new DeviceMesh());
-  mesh->world_size_ = world_size;
-  mesh->sharding_factor_ = 1;
-  mesh->axes_ = std::move(axes);
-  mesh->world_ = std::make_shared<Communicator>(world_size);
-  mesh->world_->SetName("world");
-  std::vector<std::shared_ptr<Communicator>> fresh = {mesh->world_};
-  mesh->axis_groups_.resize(mesh->axes_.size());
-  for (size_t a = 0; a < mesh->axes_.size(); ++a) {
-    const int num_groups = world_size / mesh->axes_[a].size;
-    for (int g = 0; g < num_groups; ++g) {
-      auto comm = std::make_shared<Communicator>(mesh->axes_[a].size);
-      comm->SetName(mesh->axes_[a].name + std::to_string(g));
-      mesh->axis_groups_[a].push_back(comm);
-      fresh.push_back(std::move(comm));
-    }
-  }
-  mesh->LinkIntoWeb(fresh);
+  mesh->Build(std::move(axes), nullptr, std::make_shared<FailureDomain>(), "");
   *out = std::move(mesh);
   return Status::OK();
+}
+
+void DeviceMesh::Build(std::vector<MeshAxis> axes,
+                       std::shared_ptr<Communicator> world,
+                       std::shared_ptr<FailureDomain> domain,
+                       const std::string& prefix) {
+  axes_ = std::move(axes);
+  domain_ = std::move(domain);
+  world_size_ = 1;
+  for (const MeshAxis& ax : axes_) {
+    world_size_ *= ax.size;
+    if (ax.name == "shard") sharding_factor_ = ax.size;
+  }
+  if (!world) {
+    world = std::make_shared<Communicator>(world_size_, domain_);
+    world->SetName("world");
+  }
+  world_ = std::move(world);
+  comms_.push_back(world_);
+  axis_groups_.resize(axes_.size());
+  for (size_t a = 0; a < axes_.size(); ++a) {
+    for (int g = 0; g < world_size_ / axes_[a].size; ++g) {
+      auto comm = std::make_shared<Communicator>(axes_[a].size, domain_);
+      comm->SetName(prefix + axes_[a].name + std::to_string(g));
+      axis_groups_[a].push_back(comm);
+      comms_.push_back(std::move(comm));
+    }
+  }
 }
 
 Status DeviceMesh::AxisIndex(const std::string& name, int* out) const {
@@ -1406,10 +1419,6 @@ Status DeviceMesh::AxisIndex(const std::string& name, int* out) const {
       *out = static_cast<int>(a);
       return Status::OK();
     }
-  }
-  if (axes_.empty()) {
-    return Status::Invalid(
-        "mesh has no named axes (built with the legacy FSDP constructor)");
   }
   std::string known;
   for (const MeshAxis& ax : axes_) {
@@ -1487,7 +1496,7 @@ Status DeviceMesh::FsdpSubmesh(const std::string& axis, int rank,
                            std::to_string(asize));
   }
   const int group = GroupIndex(a, rank);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   const std::array<int, 3> key = {a, group, sharding_factor};
   for (auto& entry : submeshes_) {
     if (entry.first == key) {
@@ -1496,134 +1505,56 @@ Status DeviceMesh::FsdpSubmesh(const std::string& axis, int rank,
     }
   }
   auto sub = std::shared_ptr<DeviceMesh>(new DeviceMesh());
-  sub->world_size_ = asize;
-  sub->sharding_factor_ = sharding_factor;
   // The submesh's world IS the axis slice: FullyShard's collectives run on
-  // the same comm workers (and the same abort domain) as Slice(axis).
-  sub->world_ = axis_groups_[a][group];
-  const std::string prefix = axes_[a].name + std::to_string(group) + ".";
-  std::vector<std::shared_ptr<Communicator>> fresh;
-  const int num_shard = asize / sharding_factor;
-  for (int g = 0; g < num_shard; ++g) {
-    auto comm = std::make_shared<Communicator>(sharding_factor);
-    comm->SetName(prefix + "shard" + std::to_string(g));
-    sub->shard_groups_.push_back(comm);
-    fresh.push_back(std::move(comm));
-  }
-  for (int g = 0; g < sharding_factor; ++g) {
-    auto comm = std::make_shared<Communicator>(num_shard);
-    comm->SetName(prefix + "replicate" + std::to_string(g));
-    sub->replicate_groups_.push_back(comm);
-    fresh.push_back(std::move(comm));
-  }
-  LinkIntoWeb(fresh);
+  // the same comm workers (and in the same failure domain) as Slice(axis).
+  sub->Build({{"replicate", asize / sharding_factor},
+              {"shard", sharding_factor}},
+             axis_groups_[a][group], domain_,
+             axes_[a].name + std::to_string(group) + ".");
+  // Its world (comms_[0]) is already ours; the setters reach the rest here.
+  comms_.insert(comms_.end(), sub->comms_.begin() + 1, sub->comms_.end());
   submeshes_.emplace_back(key, sub);
   *out = std::move(sub);
   return Status::OK();
-}
-
-void DeviceMesh::LinkIntoWeb(
-    const std::vector<std::shared_ptr<Communicator>>& fresh) {
-  for (const auto& f : fresh) {
-    for (const auto& e : all_comms_) {
-      f->LinkAbortPeer(e);
-      e->LinkAbortPeer(f);
-    }
-    for (const auto& g : fresh) {
-      if (g != f) f->LinkAbortPeer(g);
-    }
-  }
-  all_comms_.insert(all_comms_.end(), fresh.begin(), fresh.end());
 }
 
 ProcessGroup DeviceMesh::WorldGroup(int rank) {
   return ProcessGroup(world_, rank);
 }
 
+ProcessGroup DeviceMesh::AxisGroup(const std::string& axis, int rank) {
+  ProcessGroup pg;
+  const Status st = Slice(axis, rank, &pg);
+  FSDP_CHECK_MSG(st.ok(), st.message());
+  return pg;
+}
+
 ProcessGroup DeviceMesh::ShardGroup(int rank) {
-  const int group = rank / sharding_factor_;
-  return ProcessGroup(shard_groups_[group], rank % sharding_factor_);
+  return AxisGroup("shard", rank);
 }
 
 ProcessGroup DeviceMesh::ReplicateGroup(int rank) {
-  const int local = rank % sharding_factor_;
-  return ProcessGroup(replicate_groups_[local], rank / sharding_factor_);
+  return AxisGroup("replicate", rank);
 }
 
 void DeviceMesh::SetInjectedLatency(double base_us, double us_per_mib) {
-  world_->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& g : shard_groups_) g->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& g : replicate_groups_) {
-    g->SetInjectedLatency(base_us, us_per_mib);
-  }
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetInjectedLatency(base_us, us_per_mib);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) {
-      g->SetInjectedLatency(base_us, us_per_mib);
-    }
-    for (auto& g : sub.second->replicate_groups_) {
-      g->SetInjectedLatency(base_us, us_per_mib);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& c : comms_) c->SetInjectedLatency(base_us, us_per_mib);
 }
 
 void DeviceMesh::SetDefaultTimeout(double timeout_ms) {
-  world_->SetDefaultTimeout(timeout_ms);
-  for (auto& g : shard_groups_) g->SetDefaultTimeout(timeout_ms);
-  for (auto& g : replicate_groups_) g->SetDefaultTimeout(timeout_ms);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetDefaultTimeout(timeout_ms);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetDefaultTimeout(timeout_ms);
-    for (auto& g : sub.second->replicate_groups_) {
-      g->SetDefaultTimeout(timeout_ms);
-    }
-  }
-}
-
-void DeviceMesh::SetTrainStep(int64_t step) {
-  world_->SetTrainStep(step);
-  for (auto& g : shard_groups_) g->SetTrainStep(step);
-  for (auto& g : replicate_groups_) g->SetTrainStep(step);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetTrainStep(step);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetTrainStep(step);
-    for (auto& g : sub.second->replicate_groups_) g->SetTrainStep(step);
-  }
-}
-
-void DeviceMesh::LinkFailureDomain() {
-  if (!axes_.empty()) return;  // N-d meshes are already one abort web
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  if (!all_comms_.empty()) return;  // already linked
-  std::vector<std::shared_ptr<Communicator>> fresh;
-  fresh.push_back(world_);
-  fresh.insert(fresh.end(), shard_groups_.begin(), shard_groups_.end());
-  fresh.insert(fresh.end(), replicate_groups_.begin(),
-               replicate_groups_.end());
-  // Dedup: with F == W the single shard group is a distinct communicator,
-  // but defensive against future aliasing.
-  std::vector<std::shared_ptr<Communicator>> unique;
-  for (auto& c : fresh) {
-    bool seen = false;
-    for (auto& u : unique) seen = seen || u == c;
-    if (!seen) unique.push_back(c);
-  }
-  LinkIntoWeb(unique);
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& c : comms_) c->SetDefaultTimeout(timeout_ms);
 }
 
 void DeviceMesh::SetDesyncDetection(bool on) {
-  world_->SetDesyncDetection(on);
-  for (auto& g : shard_groups_) g->SetDesyncDetection(on);
-  for (auto& g : replicate_groups_) g->SetDesyncDetection(on);
-  std::lock_guard<std::mutex> lock(submesh_mu_);
-  for (auto& g : all_comms_) g->SetDesyncDetection(on);
-  for (auto& sub : submeshes_) {
-    for (auto& g : sub.second->shard_groups_) g->SetDesyncDetection(on);
-    for (auto& g : sub.second->replicate_groups_) g->SetDesyncDetection(on);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& c : comms_) c->SetDesyncDetection(on);
+}
+
+void DeviceMesh::SetTrainStep(int64_t step) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& c : comms_) c->SetTrainStep(step);
 }
 
 }  // namespace fsdp::comm

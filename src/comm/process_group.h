@@ -54,6 +54,11 @@
 //     Status (Work::WaitStatus / WaitFor), so callers degrade instead of
 //     hanging — FSDP/DDP propagate the error out of the train step.
 //
+// Every communicator of a DeviceMesh belongs to the mesh's FailureDomain: an
+// abort on any member aborts all the others in one flat walk. The domain owns
+// no communicator, and a communicator leaves it before joining any of its
+// threads, so a communicator is never destroyed on a thread it owns.
+//
 // InjectFault scripts deterministic failures (hang / delay / crashed rank /
 // skipped collective) keyed by (rank, seq | tag) for tests and benches.
 #pragma once
@@ -115,7 +120,9 @@ struct WorkState {
   double start_us = 0;     // comm worker began executing
   double complete_us = 0;  // all barriers passed, results visible
   /// Tensors pinned until completion (async staging buffers and the
-  /// convenience-overload src/dst); released by the worker on completion.
+  /// convenience-overload src/dst); released by the worker just before it
+  /// publishes completion. Written only before the enqueue and by the
+  /// worker, so it needs no lock.
   std::vector<Tensor> keepalive;
 };
 
@@ -193,6 +200,32 @@ struct WatchdogDiagnosis {
   std::vector<Expected> expected_next;
 };
 
+class Communicator;
+
+/// The communicators that abort together: every communicator of one
+/// DeviceMesh (world, axis groups, FSDP submesh groups). When any member
+/// aborts (watchdog timeout, desync, explicit Abort), every other member
+/// aborts too, so a composed step never deadlocks half-torn-down.
+///
+/// Members hold a shared_ptr to their domain; the domain holds raw member
+/// pointers and owns no communicator. The abort walk is flat — each member
+/// aborts locally and propagates no further — and holds the domain's lock,
+/// which ~Communicator takes to leave the domain before it joins any of its
+/// threads. A member therefore can neither be destroyed mid-walk nor be
+/// destroyed by the walk.
+class FailureDomain {
+ public:
+  void Join(Communicator* member);
+  void Leave(Communicator* member);
+  /// Aborts every member except `origin` with `status` (local aborts only;
+  /// first-abort-wins makes already-aborted members no-ops).
+  void AbortOthers(const Communicator* origin, const Status& status);
+
+ private:
+  std::mutex mu_;
+  std::vector<Communicator*> members_;
+};
+
 /// Shared state of one communicator (one "NCCL communicator"): the per-rank
 /// comm-worker threads and queues, plus barriers and pointer-exchange slots
 /// for the fixed set of participants. Workers spawn lazily on the first
@@ -200,7 +233,11 @@ struct WatchdogDiagnosis {
 /// so fire-and-forget async work still completes).
 class Communicator {
  public:
-  explicit Communicator(int size);
+  /// A communicator built with a `domain` joins it for its whole lifetime
+  /// (DeviceMesh builds all of its communicators that way); a bare one
+  /// aborts alone.
+  explicit Communicator(int size,
+                        std::shared_ptr<FailureDomain> domain = nullptr);
   ~Communicator();
 
   Communicator(const Communicator&) = delete;
@@ -247,9 +284,9 @@ class Communicator {
 
   /// Poisons the communicator: the shared barrier and all worker queues are
   /// aborted, every parked worker and every Work waiter wakes, and all
-  /// pending + future ops complete with `status`. First abort wins;
-  /// subsequent calls are no-ops. Safe from any thread (watchdog, worker,
-  /// rank thread).
+  /// pending + future ops complete with `status`; then every other member
+  /// of the failure domain aborts. First abort wins; subsequent calls are
+  /// no-ops. Safe from any thread (watchdog, worker, rank thread).
   void Abort(Status status);
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
   /// The first abort's Status (OK if never aborted).
@@ -277,14 +314,6 @@ class Communicator {
   /// automatically before aborting.
   std::string flight_dump_path() const;
 
-  /// Joins this communicator to `peer`'s failure domain: when THIS
-  /// communicator aborts (watchdog, desync, explicit Abort), the abort is
-  /// propagated to `peer` after local waiters are woken. One direction;
-  /// DeviceMesh cross-links every communicator of a composed mesh so a
-  /// timeout on one axis (a TP AllReduce on `tp0`) tears down the siblings
-  /// (`dp*`, `pp*`) instead of leaving them deadlocked mid-step.
-  /// First-abort-wins terminates the propagation cascade.
-  void LinkAbortPeer(std::weak_ptr<Communicator> peer);
   /// Flight records as "flight"-lane trace events for the Chrome exporter.
   std::vector<obs::TraceEvent> FlightTraceEvents() const {
     return flight_.TraceEvents();
@@ -292,6 +321,7 @@ class Communicator {
 
  private:
   friend class ProcessGroup;
+  friend class FailureDomain;
 
   /// One enqueued collective for one rank's worker.
   struct CommOp {
@@ -364,8 +394,8 @@ class Communicator {
   /// Returns false (after aborting with a desync diagnosis) on mismatch or
   /// when the communicator aborted mid-rendezvous.
   bool Rendezvous(int comm_rank, const CommOp& op);
-  /// Completes `op`: final flight/progress records, publishes `status` into
-  /// the WorkState, wakes all waiters exactly once, releases the keepalive.
+  /// Completes `op`: final flight/progress records, releases the keepalive,
+  /// publishes `status` into the WorkState, wakes all waiters exactly once.
   void CompleteOp(int comm_rank, CommOp& op, Status status,
                   OpState final_state);
   /// Synchronization point inside collective bodies: barrier + abort check.
@@ -378,9 +408,9 @@ class Communicator {
   void TransferDelay(int64_t bytes) const;
   /// The (src → dst) mailbox, created on first use.
   Mailbox& MailboxFor(int src, int dst);
-  /// Propagates this communicator's abort Status to every linked peer
-  /// (outside all local locks; first-abort-wins stops the recursion).
-  void PropagateAbort();
+  /// Aborts the rest of the failure domain with this communicator's abort
+  /// Status (outside all local locks).
+  void AbortDomain();
 
   /// Issue-side bookkeeping (calling rank thread): assigns the rank's next
   /// seq, records the issue in progress + flight recorder.
@@ -398,11 +428,11 @@ class Communicator {
   /// watchdog, comm.desyncs when diag.desync), dumps the flight recorder and
   /// aborts with a Status carrying `diag.reason`.
   void AbortWithDiagnosis(WatchdogDiagnosis diag, bool from_watchdog);
-  /// First-abort-wins core: publishes status (+ optional diagnosis), poisons
-  /// the barrier, wakes every queue and the watchdog. Returns false when a
-  /// prior abort already won.
-  bool AbortImpl(Status status, WatchdogDiagnosis* diag);
-  /// The claim half of AbortImpl: atomically publishes the abort state
+  /// The local abort, which never propagates: publishes status, poisons the
+  /// barrier, wakes every queue and the watchdog. Returns false when a prior
+  /// abort already won.
+  bool AbortLocal(Status status);
+  /// The claim half of AbortLocal: atomically publishes the abort state
   /// without waking anyone, so the claimer can finish side effects (the
   /// flight-recorder dump) before any waiter observes the abort.
   bool ClaimAbort(Status status, WatchdogDiagnosis* diag);
@@ -421,8 +451,7 @@ class Communicator {
   std::mutex mailbox_mu_;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;  // [src * size_ + dst]
 
-  std::mutex peers_mu_;
-  std::vector<std::weak_ptr<Communicator>> abort_peers_;
+  const std::shared_ptr<FailureDomain> domain_;  // null for a bare comm
 
   std::vector<WorkerQueue> queues_;
   std::vector<std::thread> workers_;
@@ -602,28 +631,30 @@ struct MeshAxis {
   int size = 0;
 };
 
-/// Pre-built communicators for a world and its parallelism subgroups.
-/// Construct once (before spawning rank threads), then hand each rank its
-/// groups. Two construction paths:
+/// Pre-built communicators for a world and its parallelism subgroups: a
+/// named-axis device mesh. Construct once (before spawning rank threads),
+/// then hand each rank its groups. Ranks are laid out row-major with the
+/// LAST axis fastest-varying (the PyTorch DeviceMesh convention — put "tp"
+/// last so TP groups are the consecutive intra-host ranks), and the group
+/// along axis `a` of size n is named `<a><g>` ("shard0", "tp3").
 ///
-///   * the legacy FSDP constructor `DeviceMesh(W, F)` (F divides W) builds
-///     the hybrid-sharding geometry of paper Sec 3.2.2 — shard group of
-///     rank r: the F consecutive ranks r belongs to (groups S_1..S_{W/F});
-///     replicate group: the W/F ranks with equal index within their shard
-///     group (groups R_1..R_F);
+///   * `Create(W, {{"dp",4},{"tp",2}})` builds the mesh for composed
+///     FSDP×TP×PP parallelism. `Slice(axis, rank)` returns the per-axis
+///     communicator containing `rank`; `FsdpSubmesh` wraps one axis group as
+///     an FSDP-shaped mesh for FullyShard.
 ///
-///   * the N-dimensional factory `Create(W, {{"dp",4},{"tp",2}})` builds a
-///     named-axis mesh for composed FSDP×TP×PP parallelism. Ranks are laid
-///     out row-major with the LAST axis fastest-varying (the PyTorch
-///     DeviceMesh convention — put "tp" last so TP groups are the
-///     consecutive intra-host ranks). `Slice(axis, rank)` returns the
-///     per-axis communicator containing `rank`; `FsdpSubmesh` wraps one
-///     axis group as an FSDP-shaped mesh for FullyShard.
+///   * `DeviceMesh(W, F)` (F divides W) is the same mesh with axes
+///     {{"replicate", W/F}, {"shard", F}} — the hybrid-sharding geometry of
+///     paper Sec 3.2.2: the shard group of rank r is the F consecutive ranks
+///     r belongs to (groups S_1..S_{W/F}); its replicate group is the W/F
+///     ranks with equal index within their shard group (groups R_1..R_F).
+///     ShardGroup/ReplicateGroup are the slices of those two axes.
 ///
-/// Every communicator of an N-d mesh (world, axis slices, submesh
-/// subgroups) is cross-linked into one failure domain: an abort on any of
-/// them — watchdog timeout, desync, explicit Abort — propagates to all
-/// siblings, so a composed step never deadlocks half-torn-down.
+/// Every communicator of a mesh (world, axis groups, submesh groups) joins
+/// the mesh's one FailureDomain: an abort on any of them — watchdog timeout,
+/// desync, explicit Abort — aborts all the others, so a step never
+/// deadlocks half-torn-down. A drill that must abort one communicator alone
+/// builds a bare Communicator instead.
 class DeviceMesh {
  public:
   DeviceMesh(int world_size, int sharding_factor);
@@ -635,80 +666,76 @@ class DeviceMesh {
                        std::shared_ptr<DeviceMesh>* out);
 
   int world_size() const { return world_size_; }
+  /// Size of the "shard" axis (1 when the mesh has none).
   int sharding_factor() const { return sharding_factor_; }
   int num_shard_groups() const { return world_size_ / sharding_factor_; }
-  /// Named axes (empty for legacy FSDP meshes).
   const std::vector<MeshAxis>& axes() const { return axes_; }
 
   ProcessGroup WorldGroup(int rank);
-  ProcessGroup ShardGroup(int rank);      // size F
-  ProcessGroup ReplicateGroup(int rank);  // size W/F
+  ProcessGroup ShardGroup(int rank);      // Slice("shard"), size F
+  ProcessGroup ReplicateGroup(int rank);  // Slice("replicate"), size W/F
 
   /// The `axis` communicator containing global rank `rank` (the group of
   /// ranks sharing all OTHER coordinates), as a ProcessGroup whose rank is
   /// `rank`'s coordinate along `axis`. Errors on unknown axes or
-  /// out-of-range ranks; legacy meshes have no named axes.
+  /// out-of-range ranks.
   Status Slice(const std::string& axis, int rank, ProcessGroup* out);
   /// Global rank's coordinate along `axis`.
   Status Coordinate(const std::string& axis, int rank, int* out) const;
   /// Size of `axis` (InvalidArgument on unknown names).
   Status AxisSize(const std::string& axis, int* out) const;
 
-  /// An FSDP-shaped (world = axis size, sharding factor F) submesh over the
-  /// `axis` group containing `rank`, for handing to core::FullyShard in a
-  /// composed run. The submesh's world communicator IS the axis slice —
-  /// same threads, same abort domain — and its shard/replicate subgroups
-  /// are created on first use and cached (one submesh per axis group × F).
-  /// Callers address the submesh with the rank's coordinate along `axis`.
+  /// An FSDP-shaped submesh (world = axis size, axes {{"replicate",
+  /// size/F}, {"shard", F}}) over the `axis` group containing `rank`, for
+  /// handing to core::FullyShard in a composed run. The submesh's world
+  /// communicator IS the axis slice — same threads, same failure domain —
+  /// and its shard/replicate groups are created on first use and cached
+  /// (one submesh per axis group × F). Callers address the submesh with the
+  /// rank's coordinate along `axis`.
   Status FsdpSubmesh(const std::string& axis, int rank, int sharding_factor,
                      std::shared_ptr<DeviceMesh>* out);
 
-  /// Applies Communicator::SetInjectedLatency to the world and every
-  /// subgroup communicator of this mesh (axis slices and cached submeshes
-  /// included).
+  // Each setter applies to every communicator of this mesh: the world, the
+  // axis groups and the groups of its cached submeshes.
+
+  /// Communicator::SetInjectedLatency.
   void SetInjectedLatency(double base_us, double us_per_mib = 0);
-
-  /// Arms the watchdog on the world and every subgroup communicator.
+  /// Arms the watchdog (Communicator::SetDefaultTimeout).
   void SetDefaultTimeout(double timeout_ms);
-  /// Enables the desync rendezvous on the world and every subgroup
-  /// communicator.
+  /// Enables the desync rendezvous.
   void SetDesyncDetection(bool on);
-  /// Publishes the current training step to every communicator's fault
-  /// injector (step-keyed FaultSpecs).
+  /// Publishes the current training step to every fault injector
+  /// (step-keyed FaultSpecs).
   void SetTrainStep(int64_t step);
-
-  /// Cross-links the world + shard + replicate communicators of a LEGACY
-  /// `DeviceMesh(W, F)` mesh into one abort/watchdog failure domain, the way
-  /// the N-d `Create` factory always does. Opt-in (idempotent) because some
-  /// fault drills deliberately abort one subgroup in isolation; the elastic
-  /// runtime links its meshes so any rank loss tears down the whole world
-  /// instead of leaving sibling groups deadlocked. No-op on N-d meshes.
-  void LinkFailureDomain();
 
  private:
   DeviceMesh() = default;
 
-  /// Index of `name` in axes_, or an error for unknown/legacy.
+  /// The one construction path: lays out `axes` over `world` (a fresh
+  /// "world" communicator when null) and builds every axis group in
+  /// `domain`, named `<prefix><axis><g>`.
+  void Build(std::vector<MeshAxis> axes, std::shared_ptr<Communicator> world,
+             std::shared_ptr<FailureDomain> domain, const std::string& prefix);
+  /// Slice() for callers that know the axis exists.
+  ProcessGroup AxisGroup(const std::string& axis, int rank);
+  /// Index of `name` in axes_, or an error for unknown names.
   Status AxisIndex(const std::string& name, int* out) const;
   /// The group along axis `a` that global rank `rank` belongs to.
   int GroupIndex(int a, int rank) const;
   /// Product of axis sizes after `a` (the stride of axis a, row-major).
   int AxisStride(int a) const;
-  /// Cross-links `fresh` communicators into this mesh's failure domain and
-  /// appends them to all_comms_.
-  void LinkIntoWeb(const std::vector<std::shared_ptr<Communicator>>& fresh);
 
   int world_size_ = 0;
   int sharding_factor_ = 1;
-  std::shared_ptr<Communicator> world_;
-  std::vector<std::shared_ptr<Communicator>> shard_groups_;
-  std::vector<std::shared_ptr<Communicator>> replicate_groups_;
-
-  // N-d meshes only.
   std::vector<MeshAxis> axes_;
+  std::shared_ptr<FailureDomain> domain_;
+  std::shared_ptr<Communicator> world_;
   std::vector<std::vector<std::shared_ptr<Communicator>>> axis_groups_;
-  std::vector<std::shared_ptr<Communicator>> all_comms_;  // the abort web
-  std::mutex submesh_mu_;
+
+  std::mutex mu_;  // guards comms_ and submeshes_
+  /// Every communicator the setters reach, each once: the world, the axis
+  /// groups, and the groups of cached submeshes.
+  std::vector<std::shared_ptr<Communicator>> comms_;
   /// (axis, group, F) -> cached FSDP submesh.
   std::vector<std::pair<std::array<int, 3>, std::shared_ptr<DeviceMesh>>>
       submeshes_;

@@ -44,7 +44,6 @@ void RendezvousStore::Finalize(Round& round) {
     round.view.mesh = opts_.mesh_factory(world);
   } else {
     round.view.mesh = std::make_shared<comm::DeviceMesh>(world, world);
-    round.view.mesh->LinkFailureDomain();
   }
   if (opts_.watchdog_ms > 0) round.view.mesh->SetDefaultTimeout(opts_.watchdog_ms);
   if (opts_.desync_detection) round.view.mesh->SetDesyncDetection(true);

@@ -18,7 +18,9 @@
 //     (sorted by old rank), fresh joiners (old_rank = -1) take the highest
 //     ranks in arrival order — bumps the generation number, and builds ONE
 //     fresh DeviceMesh (fresh communicators: the old ones are poisoned and
-//     unrecoverable by design) shared by all members of the round.
+//     unrecoverable by design) shared by all members of the round. The mesh
+//     is one failure domain, so any later rank loss aborts every group of
+//     the generation and each survivor's step fails instead of hanging.
 //
 // ElasticAgent is the per-rank wrapper that stamps elastic.* metrics and
 // recovery trace spans around Join.
@@ -59,9 +61,8 @@ class RendezvousStore {
     double watchdog_ms = 0;
     bool desync_detection = false;
     /// Builds the round's mesh from the finalized world size. Defaults to a
-    /// full-shard DeviceMesh(W, W) with LinkFailureDomain() — one abort
-    /// domain, as elastic recovery requires (any loss tears down the whole
-    /// world).
+    /// full-shard DeviceMesh(W, W). Every mesh is one failure domain, as
+    /// elastic recovery requires: any loss tears down the whole world.
     std::function<std::shared_ptr<comm::DeviceMesh>(int world_size)>
         mesh_factory;
     /// Called once per round on the freshly built mesh (fault-drill

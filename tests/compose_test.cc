@@ -106,13 +106,20 @@ TEST(DeviceMeshNdTest, CoordinatesAndSlices) {
   EXPECT_EQ(sub->world_size(), 2);
   EXPECT_EQ(sub->sharding_factor(), 2);
 
-  // Legacy two-argument meshes carry no named axes.
-  comm::DeviceMesh legacy(4, 4);
-  EXPECT_TRUE(legacy.axes().empty());
-  Status st = legacy.Slice("dp", 0, &tp);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("no named axes"), std::string::npos)
-      << st.message();
+  // A two-argument (W, F) mesh is the replicate x shard mesh, and its
+  // shard/replicate groups are the slices of those axes.
+  comm::DeviceMesh legacy(4, 2);
+  ASSERT_EQ(legacy.axes().size(), 2u);
+  EXPECT_EQ(legacy.axes()[0].name, "replicate");
+  EXPECT_EQ(legacy.axes()[0].size, 2);
+  EXPECT_EQ(legacy.axes()[1].name, "shard");
+  EXPECT_EQ(legacy.axes()[1].size, 2);
+  for (int r = 0; r < 4; ++r) {
+    comm::ProcessGroup shard;
+    ASSERT_TRUE(legacy.Slice("shard", r, &shard).ok());
+    EXPECT_EQ(shard.communicator(), legacy.ShardGroup(r).communicator());
+    EXPECT_EQ(shard.rank(), legacy.ShardGroup(r).rank());
+  }
 }
 
 TEST(DeviceMeshNdTest, AxisSlicesCarryDisjointCollectives) {

@@ -464,6 +464,33 @@ TEST(FaultTest, FsdpStepPropagatesAbortInsteadOfCrashing) {
   EXPECT_TRUE(mesh.ShardGroup(0).communicator()->aborted());
 }
 
+// Teardown racing abort propagation: the rank threads drop the last
+// references to the mesh the moment they see the abort, while the watchdog
+// that fired may still be aborting the rest of the failure domain. A
+// communicator destroyed on its own watchdog thread would join itself and
+// terminate the process ("Resource deadlock avoided").
+TEST(FaultTest, TeardownDuringAbortPropagationNeverTerminates) {
+  UseTempArtifactDir();
+  const int w = 4;
+  for (int gen = 0; gen < 200; ++gen) {
+    auto mesh = std::make_shared<comm::DeviceMesh>(w, w);
+    std::vector<std::shared_ptr<comm::DeviceMesh>> mesh_refs(w, mesh);
+    std::vector<comm::ProcessGroup> groups(w);
+    for (int r = 0; r < w; ++r) groups[r] = mesh->ShardGroup(r);
+    groups[0].communicator()->InjectFault(
+        {FaultKind::kHang, /*rank=*/1, /*seq=*/0, "", 0});
+    mesh->SetDefaultTimeout(1 + gen % 5);
+    mesh.reset();
+    RunOnRanks(w, [&](int r) {
+      std::vector<float> buf(8, 1.0f);
+      const Status st = groups[r].AllReduce(buf.data(), 8).WaitStatus();
+      EXPECT_FALSE(st.ok()) << "generation " << gen << " rank " << r;
+      groups[r] = comm::ProcessGroup();
+      mesh_refs[r].reset();
+    });
+  }
+}
+
 TEST(FaultTest, DdpStepPropagatesAbortInsteadOfCrashing) {
   UseTempArtifactDir();
   const int w = 4;
