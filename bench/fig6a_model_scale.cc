@@ -28,18 +28,22 @@ int main() {
       {"T5-2.28B", T5_2_28B(), 8, false},
       {"T5-11B", T5_11B(), 8, true},
   };
+  std::vector<bool> ddp_oom;
   for (auto& cs : cases) {
-    DdpSimConfig dc;
-    dc.batch_per_gpu = cs.batch;
-    dc.activation_checkpointing = cs.ckpt;
-    auto ddp = DdpSimulator(cs.w, topo, c, dc).Run();
-
     FsdpSimConfig f32;
     f32.batch_per_gpu = cs.batch;
     f32.param_dtype = DType::kF32;
     f32.reduce_dtype = DType::kF32;
     f32.activation_checkpointing = cs.ckpt;
     auto fsdp32 = FsdpSimulator(cs.w, topo, c, f32).Run();
+
+    // DDP: the same interpreter at F = 1 over the bucketed AllReduce plan.
+    FsdpSimConfig dc = f32;
+    dc.sharding_factor = 1;
+    auto ddp =
+        FsdpSimulator(cs.w, topo, c, dc, BuildDdpSimPlan(cs.w, 25 << 20))
+            .Run();
+    ddp_oom.push_back(ddp.oom);
 
     FsdpSimConfig f16 = f32;
     f16.param_dtype = DType::kBF16;
@@ -57,7 +61,12 @@ int main() {
     };
     Row("%-10s %6d | %-12s | %-14s | %-14s", cs.name, cs.batch,
         cell(ddp).c_str(), cell(fsdp32).c_str(), cell(fsdp16).c_str());
+    FSDP_CHECK_MSG(!fsdp32.oom && !fsdp16.oom, "FSDP must fit every model");
+    FSDP_CHECK_MSG(fsdp16.tflops_per_gpu > fsdp32.tflops_per_gpu,
+                   "BF16 must beat FP32 on every model");
   }
+  FSDP_CHECK_MSG(!ddp_oom.front() && ddp_oom.back(),
+                 "DDP must fit T5-611M and OOM at T5-11B");
   Row("\npaper shape: FSDP ~= DDP on 611M/2.28B; DDP OOM beyond 2.28B; "
       "FSDP BF16 substantially higher TFLOPS.");
   return 0;

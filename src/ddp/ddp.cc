@@ -91,7 +91,7 @@ void DistributedDataParallel::IssueBucketReduce(Bucket& bucket) {
   bucket.issued = true;
 
   plan::Instr in;
-  in.op = plan::Op::kReduceGrad;
+  in.op = plan::Op::kAllReduceReplicas;
   in.unit = static_cast<int>(index);
   in.phase = plan::Phase::kBackward;
   in.lane = plan::Lane::kComm;

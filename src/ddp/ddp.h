@@ -58,12 +58,13 @@ class DistributedDataParallel : public nn::Module {
   /// after each step; OK means every bucket of the step reduced cleanly.
   const Status& status() const { return status_; }
 
-  /// Executed plan instructions: one kReduceGrad per issued bucket (in issue
-  /// order, `unit` = bucket index, `bytes` = bucket gradient bytes) and one
-  /// kWaitReduceGrad per completed bucket. Note the real bucket structure is
-  /// by parameter registration order, not the per-unit structure the
-  /// simulator's BuildDdpSimPlan assumes — the logs share the IR but are not
-  /// canonically comparable.
+  /// Executed plan instructions: one kAllReduceReplicas per issued bucket
+  /// (DDP is F = 1, so the replica AllReduce is the whole reduction; in
+  /// issue order, `unit` = bucket index, `bytes` = bucket gradient bytes)
+  /// and one kWaitReduceGrad per completed bucket. Note the real bucket
+  /// structure is by parameter registration order, not the per-unit
+  /// structure the simulator's BuildDdpSimPlan assumes — the logs share the
+  /// op but are not canonically comparable.
   const std::vector<plan::Instr>& executed_plan() const { return executed_; }
   void ClearExecutedPlan() { executed_.clear(); }
 

@@ -43,13 +43,6 @@ struct SpanPool {
     if (cur >= it->second.size()) return nullptr;
     return it->second[cur++];
   }
-
-  /// True if any span (consumed or not) exists for the key — used to decide
-  /// between the FSDP ReduceScatter and the DDP bucket AllReduce.
-  bool Has(EventKind kind, const std::string& lane,
-           const std::string& unit) const {
-    return by_key.count(Key(kind, lane, unit)) > 0;
-  }
 };
 
 std::string UnitName(const plan::Instr& instr,
@@ -129,36 +122,23 @@ void JoinStep(StepProfile& step, SpanPool& pool) {
     const std::string name = UnitName(in, step.unit_names);
     const TraceEvent* span = nullptr;
     const TraceEvent* issue = nullptr;  // runtime-lane issue event (bytes)
+    const EventKind kind = plan::ToEventKind(in.op, in.phase);
     switch (in.op) {
       case plan::Op::kUnshard:
-        span = pool.Take(EventKind::kAllGather, "comm", name);
-        issue = pool.Take(EventKind::kAllGather, "runtime", name);
-        break;
-      case plan::Op::kWaitUnshard:
-        span = pool.Take(EventKind::kWait, "runtime", name);
+      case plan::Op::kReduceGrad:
+      case plan::Op::kAllReduceReplicas:
+        // DDP's bucket AllReduce has no runtime-lane issue event; its
+        // resident bytes come from the instruction.
+        span = pool.Take(kind, "comm", name);
+        issue = pool.Take(kind, "runtime", name);
         break;
       case plan::Op::kCompute:
-        span = pool.Take(in.phase == plan::Phase::kBackward
-                             ? EventKind::kBackward
-                             : EventKind::kForward,
-                         "compute", name);
-        break;
-      case plan::Op::kReduceGrad:
-        // FSDP reduces with a ReduceScatter; DDP buckets use AllReduce.
-        if (pool.Has(EventKind::kReduceScatter, "comm", name)) {
-          span = pool.Take(EventKind::kReduceScatter, "comm", name);
-          issue = pool.Take(EventKind::kReduceScatter, "runtime", name);
-        } else {
-          span = pool.Take(EventKind::kAllReduce, "comm", name);
-        }
-        break;
-      case plan::Op::kAllReduceReplicas:
-        span = pool.Take(EventKind::kAllReduce, "comm", name);
-        issue = pool.Take(EventKind::kAllReduce, "runtime", name);
+        span = pool.Take(kind, "compute", name);
         break;
       case plan::Op::kReshard:
-        span = pool.Take(EventKind::kReshard, "runtime", name);
+        span = pool.Take(kind, "runtime", name);
         break;
+      case plan::Op::kWaitUnshard:
       case plan::Op::kWaitReduceGrad:
         span = pool.Take(EventKind::kWait, "runtime", name);
         break;
@@ -170,7 +150,6 @@ void JoinStep(StepProfile& step, SpanPool& pool) {
       continue;
     }
     p.matched = true;
-    p.matched_kind = span->kind;
     p.t_begin_us = span->t_begin_us;
     p.t_end_us = span->t_end_us;
     p.t_exec_us = span->t_exec_us > 0 ? span->t_exec_us : span->t_begin_us;

@@ -1,14 +1,19 @@
 // Per-instruction step profiler: joins the executed plan with trace spans.
 //
 // The runtime leaves two records of every step behind: the typed executed
-// plan (FsdpState::executed_plan() / DistributedDataParallel's bucket log —
-// WHAT ran, in issue order) and the TraceCollector spans (WHEN it ran —
+// plan (FsdpState::executed_plan() / DistributedDataParallel's bucket log,
+// whose buckets are kAllReduceReplicas like hybrid sharding's replica
+// reductions — WHAT ran, in issue order) and the TraceCollector spans (WHEN
+// it ran —
 // comm-worker collective spans on the "comm" lane, unit compute spans on
 // "compute", wait/reshard spans on "runtime"). Neither alone answers the
 // paper's tuning questions (where does the step's time go? is communication
 // overlapped or exposed?), so this module joins them:
 //
 //   executed Instr ──(kind, lane, tag, occurrence#)──▶ TraceEvent span
+//
+// The span kind is plan::ToEventKind(op, phase), the same op -> kind map
+// the trace exporter uses (waits join kWait spans).
 //
 // Matching is cursor-based: spans with the same (kind, lane, unit) key are
 // consumed in emission order, which equals issue order because each
@@ -46,10 +51,8 @@ namespace fsdp::obs {
 struct InstrProfile {
   plan::Instr instr;
   std::string label;       // plan::RenderInstr(instr, unit_names)
+  /// True once a span of the instruction's plan::ToEventKind kind joined.
   bool matched = false;
-  /// Kind of the span this instruction matched (kReduceGrad resolves to
-  /// kReduceScatter under FSDP but kAllReduce for a DDP bucket).
-  EventKind matched_kind = EventKind::kMarker;
 
   double t_begin_us = 0;   // span begin (comm: issue time on the rank thread)
   double t_exec_us = 0;    // comm: worker pickup; others: == t_begin_us

@@ -386,24 +386,33 @@ StepPlan BuildDdpStepPlan(const std::vector<std::string>& unit_names,
               0, {prev});
   // Backward: head first, then reverse unit order with bucketed AllReduce
   // overlap — a bucket's reduction is issued as soon as enough gradient
-  // bytes accumulate (reverse order approximates readiness order).
+  // bytes accumulate (reverse order approximates readiness order). A bucket
+  // is one replica AllReduce (DDP is F = 1: every rank is a replica) over
+  // the units it covers: `unit` is the bucket's last unit, `batch_units`
+  // the ones before it.
   prev = emit(Op::kCompute, 0, Phase::kBackward, Seg::kRootHead,
               Lane::kCompute, 0, {prev});
   std::vector<int> opt_deps;
+  std::vector<int> bucket;
   int64_t bucket_fill = 0;
   for (int i = n - 1; i >= 1; --i) {
     prev = emit(Op::kCompute, i, Phase::kBackward, Seg::kMain, Lane::kCompute,
                 0, {prev});
     bucket_fill += options.unit_bytes[static_cast<size_t>(i)];
     if (bucket_fill >= options.bucket_bytes || i == 1) {
-      opt_deps.push_back(emit(Op::kReduceGrad, i, Phase::kBackward, Seg::kMain,
-                              Lane::kComm, bucket_fill, {prev}));
+      opt_deps.push_back(emit(Op::kAllReduceReplicas, i, Phase::kBackward,
+                              Seg::kMain, Lane::kComm, bucket_fill, {prev}));
+      plan.instrs.back().batch_units = std::move(bucket);
+      bucket.clear();
       bucket_fill = 0;
+    } else {
+      bucket.push_back(i);
     }
   }
   // Root parameters reduce in the final bucket.
-  opt_deps.push_back(emit(Op::kReduceGrad, 0, Phase::kBackward, Seg::kMain,
-                          Lane::kComm, options.unit_bytes[0], {prev}));
+  opt_deps.push_back(emit(Op::kAllReduceReplicas, 0, Phase::kBackward,
+                          Seg::kMain, Lane::kComm, options.unit_bytes[0],
+                          {prev}));
   emit(Op::kOptimStep, -1, Phase::kNone, Seg::kMain, Lane::kCompute, 0,
        std::move(opt_deps));
   return plan;

@@ -135,7 +135,11 @@ struct DdpPlanOptions {
 };
 
 /// Builds the DDP baseline step plan: forward computes, backward computes in
-/// reverse with bucketed AllReduce issues overlapping them, optimizer join.
+/// reverse with one kAllReduceReplicas per gradient bucket overlapping them
+/// (DDP is the F = 1 point of the sharding factor: the replica AllReduce is
+/// its whole reduction), optimizer join. A bucket's instruction carries its
+/// last unit as `unit`, the bucket's other units as `batch_units`, and the
+/// bucket's gradient bytes as `bytes`.
 StepPlan BuildDdpStepPlan(const std::vector<std::string>& unit_names,
                           const DdpPlanOptions& options);
 

@@ -139,7 +139,6 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // treated as resident from the start: DDP plans, and runtime-recorded
   // steps that inherit gathered parameters from a previous no_sync step.
   std::vector<char> managed(static_cast<size_t>(nu), 0);
-  bool has_unshard = false;
   bool has_compute = false;
   // Stages with any instruction in this plan. Per-rank executed logs and
   // FilterStage projections only carry one stage; send/recv matching is
@@ -151,7 +150,6 @@ Status PlanValidator::Check(const StepPlan& plan) const {
       if (u < 0 || u >= nu) return fail(i, "unit index out of range");
     }
     if (in.op == Op::kUnshard) {
-      has_unshard = true;
       for (int u : CoveredUnits(in)) managed[static_cast<size_t>(u)] = 1;
     }
     if (in.op == Op::kCompute) has_compute = true;
@@ -245,8 +243,9 @@ Status PlanValidator::Check(const StepPlan& plan) const {
       case Op::kReduceGrad:
         if (check_reductions) {
           for (int u : CoveredUnits(in)) {
-            // Reduce-only logs (DDP's executed plan records buckets, not
-            // computes) can't anchor reductions to a backward — skip.
+            // A comm-only log (ReduceScatter issues recorded without the
+            // computes, as PlanValidatorTest.AcceptsReduceOnlyLogs builds)
+            // has no backward to anchor a reduction to — skip.
             if (has_compute &&
                 last_bwd_mb[static_cast<size_t>(u)] != in.microbatch) {
               return fail(i, "reduction of unit " + std::to_string(u) +
@@ -332,9 +331,8 @@ Status PlanValidator::Check(const StepPlan& plan) const {
 
   // Coverage: a microbatch that syncs at all must reduce every unit whose
   // backward ran in it — a dropped reduction is the classic silent-wrong
-  // rewrite. DDP bucket plans (no unshards) key reductions by bucket
-  // boundary, not per unit; the per-unit coverage contract does not apply.
-  if (check_reductions && has_unshard) {
+  // rewrite.
+  if (check_reductions) {
     for (const auto& [mb, red] : reduced_units) {
       for (int u : bwd_units[mb]) {
         if (red.count(u) == 0) {

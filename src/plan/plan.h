@@ -3,20 +3,21 @@
 //
 // A StepPlan is one training step flattened into an ordered list of typed
 // instructions: Unshard (AllGather issue), WaitUnshard, Compute, ReduceGrad
-// (ReduceScatter issue; bucket AllReduce for DDP), AllReduceReplicas,
-// WaitReduceGrad, Reshard (free the unsharded parameter), RateLimitGate,
-// OptimStep, plus substrate bookkeeping ops (activation/gradient frees, CPU
-// offload copies, non-FSDP input exchange). Each instruction carries its
-// stream lane and explicit dependency edges (indices of earlier
-// instructions whose completion gates its start).
+// (ReduceScatter issue), AllReduceReplicas (replica AllReduce; a DDP bucket
+// at F = 1), WaitReduceGrad, Reshard (free the unsharded parameter),
+// RateLimitGate, OptimStep, plus substrate bookkeeping ops
+// (activation/gradient frees, CPU offload copies, non-FSDP input exchange).
+// Each instruction carries its stream lane and explicit dependency edges
+// (indices of earlier instructions whose completion gates its start).
 //
 // Two layers consume the same IR:
 //
 //   * the REAL runtime (core::FsdpState, ddp::DistributedDataParallel)
 //     records the instructions it actually executes, in issue order, into an
 //     executed-plan log;
-//   * the SIMULATOR (simfsdp::FsdpSimulator / DdpSimulator) interprets a
-//     StepPlan emitted by the builder (plan/builder.h) against the
+//   * the SIMULATOR (simfsdp::FsdpSimulator, one interpreter for every
+//     sharding factor; DDP is its F = 1 run over BuildDdpStepPlan) interprets
+//     a StepPlan emitted by the builder (plan/builder.h) against the
 //     virtual-time substrate — streams, caching allocator, cost models.
 //
 // CanonicalSchedule projects either side onto the schedule-defining ops so
@@ -40,9 +41,10 @@ enum class Op : int {
   kWaitUnshard,        // first-use point: block on the pending AllGather
   kCompute,            // unit forward/backward compute (see phase/seg)
   kInputExchange,      // non-FSDP input collective (DHEN sparse all-to-all)
-  kReduceGrad,         // issue the gradient ReduceScatter (DDP: bucket
-                       //   AllReduce); `bytes` carries DDP bucket size
-  kAllReduceReplicas,  // hybrid-sharding replica AllReduce (Eq. 1)
+  kReduceGrad,         // issue the gradient ReduceScatter
+  kAllReduceReplicas,  // replica AllReduce of the reduced gradient: hybrid
+                       //   sharding's (Eq. 1), or at F = 1 a DDP bucket
+                       //   (`bytes` carries the bucket size)
   kGradOffloadD2H,     // D2H copy of the reduced gradient shard (CPU offload)
   kWaitReduceGrad,     // end-of-backward completion of issued reductions
   kReshard,            // free the unsharded flat parameter
@@ -97,7 +99,8 @@ struct Instr {
   /// Additional units a batched collective covers (the fusion pass of
   /// plan/passes.h): the instruction moves this unit's payload plus every
   /// listed unit's in ONE collective. Empty for unbatched instructions.
-  /// Meaningful on kUnshard / kReduceGrad.
+  /// Meaningful on kUnshard / kReduceGrad / kAllReduceReplicas (a DDP
+  /// bucket's units before its last one).
   std::vector<int> batch_units;
   /// kReshard only: the gathered parameter is NOT released (the F = 1
   /// no-op reshard, ReshardPolicy::kKeepUnsharded) — the unit stays

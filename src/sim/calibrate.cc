@@ -127,18 +127,13 @@ std::vector<ModeledInstr> ExtractSamples(
       if (!p.matched) continue;
       ModeledInstr m;
       m.label = p.label;
+      m.kind = plan::ToEventKind(p.instr.op, p.instr.phase);
       switch (p.instr.op) {
         case plan::Op::kUnshard:
-        case plan::Op::kReduceGrad: {
-          m.kind = p.matched_kind;
-          m.total_bytes = p.resident_bytes > 0 ? p.resident_bytes : p.bytes;
-          m.measured_us = p.service_us;
-          break;
-        }
+        case plan::Op::kReduceGrad:
         case plan::Op::kAllReduceReplicas: {
-          m.kind = p.matched_kind;
           m.total_bytes = p.resident_bytes > 0 ? p.resident_bytes : p.bytes;
-          m.replica_group = true;
+          m.replica_group = p.instr.op == plan::Op::kAllReduceReplicas;
           m.measured_us = p.service_us;
           break;
         }
@@ -149,9 +144,6 @@ std::vector<ModeledInstr> ExtractSamples(
                                    static_cast<double>(it->second / 4) *
                                    opts.batch_samples;
           m.is_compute = true;
-          m.kind = p.instr.phase == plan::Phase::kBackward
-                       ? obs::EventKind::kBackward
-                       : obs::EventKind::kForward;
           m.flops = p.instr.phase == plan::Phase::kBackward ? 2.0 * fwd_flops
                                                             : fwd_flops;
           // Self time: subtract nested same-phase compute spans (the root

@@ -336,9 +336,6 @@ SimMetrics FsdpSimulator::Run() {
   const double pcie_bytes_per_us = c_.pcie_gbps * 1e3;
 
   // ---- cost helpers ----
-  auto ar_time = [&](const UnitSim& u) {
-    return cm.AllReduce(u.reduce_total_bytes / f, repl_g);
-  };
   auto add_traffic = [&](double per_gpu_bytes, const sim::Group& g) {
     if (g.hosts > 1) m.cross_host_bytes_per_gpu += per_gpu_bytes;
   };
@@ -599,18 +596,26 @@ SimMetrics FsdpSimulator::Run() {
         }
 
         case plan::Op::kAllReduceReplicas: {
-          UnitSim& u = units[ui];
+          // AllReduce of the reduced gradient shards across replicas: hybrid
+          // sharding's per-unit replica AllReduce (Eq. 1), or at F = 1 a
+          // DDP gradient bucket covering several units.
           if (replicas <= 1) {
             done[ip] = dep_max(in);
             break;
           }
-          done[ip] = comm.Launch(cpu, ar_time(u), dep_times(in),
-                                 obs::EventKind::kAllReduce, u.label,
-                                 u.reduce_total_bytes / f);
+          int64_t sum_shard = 0;
+          std::string label;
+          for (int cu : plan::CoveredUnits(in)) {
+            sum_shard += units[static_cast<size_t>(cu)].reduce_total_bytes / f;
+            if (!label.empty()) label += "+";
+            label += units[static_cast<size_t>(cu)].label;
+          }
+          done[ip] = comm.Launch(cpu, cm.AllReduce(sum_shard, repl_g),
+                                 dep_times(in), obs::EventKind::kAllReduce,
+                                 label, sum_shard);
           cpu += c_.cpu_issue_us_per_kernel;
           if (last_iter) {
-            add_traffic(2.0 * (repl_g.size - 1) / repl_g.size *
-                            (u.reduce_total_bytes / f),
+            add_traffic(2.0 * (repl_g.size - 1) / repl_g.size * sum_shard,
                         repl_g);
           }
           last_comm_end = std::max(last_comm_end, done[ip]);
@@ -764,191 +769,14 @@ SimMetrics FsdpSimulator::Run() {
   return m;
 }
 
-plan::StepPlan BuildDdpSimPlan(const Workload& w, const DdpSimConfig& cfg) {
-  const int64_t esize = SizeOf(cfg.dtype);
+plan::StepPlan BuildDdpSimPlan(const Workload& w, int64_t bucket_bytes) {
+  const int64_t esize = SizeOf(DType::kF32);
   plan::DdpPlanOptions o;
-  o.bucket_bytes = cfg.bucket_bytes;
+  o.bucket_bytes = bucket_bytes;
   o.unit_bytes.reserve(w.units.size() + 1);
   o.unit_bytes.push_back(w.root_param_numel * esize);
   for (const auto& u : w.units) o.unit_bytes.push_back(u.param_numel * esize);
   return plan::BuildDdpStepPlan(SimUnitNames(w), o);
-}
-
-DdpSimulator::DdpSimulator(Workload workload, sim::Topology topo,
-                           sim::SimConstants constants, DdpSimConfig config)
-    : w_(std::move(workload)), topo_(topo), c_(constants), cfg_(config) {
-  plan_ = BuildDdpSimPlan(w_, cfg_);
-}
-
-SimMetrics DdpSimulator::Run() {
-  SimMetrics m;
-  const sim::Group world_g = sim::WorldGroup(topo_);
-  sim::CollectiveModel cm(c_, topo_);
-  sim::ComputeModel pm(c_);
-  sim::SimStream compute("compute"), comm("comm");
-  sim::AllocatorConfig acfg;
-  acfg.capacity_bytes = c_.hbm_bytes;
-  sim::CachingAllocator alloc(acfg);
-
-  sim::SimTime cpu = 0;
-  bool oom = false;
-  auto device_sync = [&]() {
-    return std::max(compute.available_at(), comm.available_at());
-  };
-  auto malloc_block = [&](int64_t bytes) -> sim::CachingAllocator::BlockId {
-    if (oom || bytes <= 0) return -1;
-    auto out = alloc.Malloc(bytes, kComputeStream, cpu, device_sync);
-    cpu = out.cpu_time_after;
-    if (!out.ok) oom = true;
-    return out.block;
-  };
-
-  const int64_t esize = SizeOf(cfg_.dtype);
-  const int batch = cfg_.batch_per_gpu;
-  const double flops_rate = FlopsPerUs(c_, cfg_.dtype);
-  const int64_t total_params = w_.total_params();
-
-  // Full replica: params + grads + two Adam states, all resident (the DDP
-  // requirement that OOMs beyond ~2.28B on 40-80GB devices, Sec 2.1/5.2).
-  (void)malloc_block(c_.framework_overhead_bytes);
-  (void)malloc_block(total_params * esize);        // params
-  (void)malloc_block(total_params * esize);        // grads
-  (void)malloc_block(total_params * 8);            // Adam m, v (fp32)
-  if (w_.non_fsdp_state_bytes > 0) (void)malloc_block(w_.non_fsdp_state_bytes);
-
-  // Activations for the whole model (no resharding to save anything).
-  int64_t act_bytes = w_.root_act_bytes_per_sample;
-  for (const auto& u : w_.units) {
-    act_bytes += cfg_.activation_checkpointing ? u.ckpt_bytes_per_sample
-                                               : u.act_bytes_per_sample;
-  }
-  (void)malloc_block(act_bytes * batch);
-
-  if (oom) {
-    m.oom = true;
-    return m;
-  }
-
-  const double recompute = cfg_.activation_checkpointing ? 1.0 : 0.0;
-  std::vector<sim::SimTime> done(plan_.instrs.size(), 0);
-  auto dep_times = [&](const plan::Instr& in) {
-    std::vector<sim::SimTime> t;
-    t.reserve(in.deps.size());
-    for (int d : in.deps) t.push_back(done[static_cast<size_t>(d)]);
-    return t;
-  };
-
-  sim::SimTime prev_iter_end = 0;
-  double compute_busy_before = 0, comm_busy_before = 0;
-  double iter_flops = 0;
-
-  for (int iter = 0; iter < cfg_.iterations; ++iter) {
-    const bool last_iter = iter + 1 == cfg_.iterations;
-    if (last_iter) {
-      compute_busy_before = compute.busy_us();
-      comm_busy_before = comm.busy_us();
-      m.cross_host_bytes_per_gpu = 0;
-      iter_flops = 0;
-    }
-    sim::SimTime last_comm_end = 0;
-
-    for (size_t ip = 0; ip < plan_.instrs.size(); ++ip) {
-      const plan::Instr& in = plan_.instrs[ip];
-      switch (in.op) {
-        case plan::Op::kCompute: {
-          if (in.seg == plan::Seg::kRootPre) {
-            done[ip] = compute.Launch(
-                cpu,
-                w_.root_pre_flops_per_sample * batch / flops_rate +
-                    c_.kernel_launch_gpu_us,
-                dep_times(in));
-            cpu += pm.CpuIssueTime(2);
-          } else if (in.seg == plan::Seg::kRootHead) {
-            if (in.phase == plan::Phase::kForward) {
-              done[ip] = compute.Launch(
-                  cpu,
-                  w_.root_post_flops_per_sample * batch / flops_rate +
-                      c_.kernel_launch_gpu_us,
-                  dep_times(in));
-              cpu += pm.CpuIssueTime(4);
-              if (last_iter) {
-                // 3x: the calibrated head covers its own forward + backward.
-                iter_flops += (w_.root_post_flops_per_sample * 3.0) * batch;
-              }
-            } else {
-              done[ip] = compute.Launch(
-                  cpu,
-                  2.0 * w_.root_post_flops_per_sample * batch / flops_rate +
-                      c_.kernel_launch_gpu_us,
-                  dep_times(in));
-              cpu += pm.CpuIssueTime(4);
-            }
-          } else {
-            const UnitSpec& u = w_.units[static_cast<size_t>(in.unit - 1)];
-            if (in.phase == plan::Phase::kForward) {
-              const double fwd =
-                  u.fwd_flops_per_sample * batch / flops_rate +
-                  u.n_kernels * c_.kernel_launch_gpu_us;
-              done[ip] = compute.Launch(cpu, fwd, dep_times(in));
-              cpu += pm.CpuIssueTime(u.n_kernels);
-              if (last_iter) iter_flops += fwd * flops_rate;
-            } else {
-              const double bwd =
-                  (2.0 + recompute) * u.fwd_flops_per_sample * batch /
-                      flops_rate +
-                  2 * u.n_kernels * c_.kernel_launch_gpu_us;
-              done[ip] = compute.Launch(cpu, bwd, dep_times(in));
-              cpu += pm.CpuIssueTime(2 * u.n_kernels);
-              if (last_iter) iter_flops += bwd * flops_rate;
-            }
-          }
-          break;
-        }
-
-        case plan::Op::kReduceGrad: {
-          // Bucketed AllReduce; the bucket's byte count is carried by the
-          // instruction (structure decided by the builder).
-          done[ip] = comm.Launch(cpu, cm.AllReduce(in.bytes, world_g),
-                                 dep_times(in));
-          cpu += c_.cpu_issue_us_per_kernel;
-          if (last_iter && world_g.hosts > 1) {
-            m.cross_host_bytes_per_gpu +=
-                2.0 * (world_g.size - 1) / world_g.size * in.bytes;
-          }
-          last_comm_end = done[ip];
-          break;
-        }
-
-        case plan::Op::kOptimStep: {
-          const double opt_us = 7.0 * total_params * 4 / kHbmBytesPerUs +
-                                c_.kernel_launch_gpu_us;
-          done[ip] = compute.Launch(cpu, opt_us, {last_comm_end});
-          cpu = std::max({cpu, done[ip], comm.available_at()});
-          break;
-        }
-
-        default:
-          break;  // DDP plans carry no other ops
-      }
-    }
-
-    if (last_iter) {
-      m.iter_time_us = cpu - prev_iter_end;
-      m.compute_busy_us = compute.busy_us() - compute_busy_before;
-      m.comm_busy_us = comm.busy_us() - comm_busy_before;
-      const auto& st = alloc.stats(cpu);
-      m.peak_allocated = st.peak_allocated;
-      m.peak_active = st.peak_active;
-      m.peak_reserved = st.peak_reserved;
-      m.num_alloc_retries = st.num_alloc_retries;
-      m.tflops_per_gpu = iter_flops / m.iter_time_us / 1e6;
-      m.qps_per_gpu = batch / (m.iter_time_us / 1e6);
-      m.exposed_comm_us = std::max(0.0, m.iter_time_us - m.compute_busy_us);
-    }
-    prev_iter_end = cpu;
-  }
-  m.oom = oom;
-  return m;
 }
 
 double AnalyticCrossHostTraffic(double model_bytes, const sim::Topology& topo,

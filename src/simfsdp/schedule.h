@@ -1,12 +1,13 @@
-// FSDP / DDP execution-schedule simulators — thin interpreters over the
-// shared execution-plan IR (src/plan).
+// The execution-schedule simulator — one interpreter over the shared
+// execution-plan IR (src/plan) for every point on the sharding factor F,
+// DDP included.
 //
 // The schedule itself — when each unit's AllGather, compute, ReduceScatter,
 // and free are issued relative to each other (paper Secs 3.2–3.4) — is no
 // longer hand-written here: BuildSimStepPlan / BuildDdpSimPlan derive a
-// plan::StepPlan from the simulator config via the same plan::PlanBuilder
-// the real runtime's schedule is checked against, and Run() interprets that
-// plan's instructions, one representative rank, against the virtual-time
+// plan::StepPlan via the same plan::PlanBuilder the real runtime's schedule
+// is checked against, and FsdpSimulator::Run() interprets that plan's
+// instructions, one representative rank, against the virtual-time
 // substrate (streams + caching allocator + cost models):
 //
 //  * kUnshard — rate-limiter gate (its own kRateLimitGate instr), unsharded
@@ -18,7 +19,8 @@
 //    forward cost, + recompute under activation checkpointing);
 //  * kReduceGrad / kAllReduceReplicas / kGradOffloadD2H — the gradient
 //    reduction chain on the single communication stream (hybrid sharding's
-//    replica AllReduce, CPU offload's D2H shard copy);
+//    replica AllReduce, CPU offload's D2H shard copy). A DDP gradient bucket
+//    is a kAllReduceReplicas covering the bucket's units at F = 1;
 //  * kReshard / kFreeGrad / kFreeAct — allocator releases (record_stream
 //    semantics), feeding the rate limiter's free-event queue;
 //  * kWaitUnshard / kWaitReduceGrad — free in virtual time: the simulated
@@ -82,14 +84,6 @@ struct FsdpSimConfig {
   int trace_rank = 0;
 };
 
-struct DdpSimConfig {
-  int batch_per_gpu = 1;
-  DType dtype = DType::kF32;
-  int64_t bucket_bytes = 25 << 20;
-  bool activation_checkpointing = false;
-  int iterations = 3;
-};
-
 struct SimMetrics {
   bool oom = false;
   double iter_time_us = 0;
@@ -138,9 +132,12 @@ plan::MemoryPlanOptions MakeMemoryPlanOptions(const Workload& w,
                                               const sim::SimConstants& c,
                                               const FsdpSimConfig& cfg);
 
-/// The DDP baseline's step plan: unit computes plus bucketed AllReduce
-/// issues placed by gradient byte counts.
-plan::StepPlan BuildDdpSimPlan(const Workload& w, const DdpSimConfig& cfg);
+/// The DDP baseline's step plan: unit computes plus one kAllReduceReplicas
+/// per gradient bucket, buckets placed by FP32 gradient byte counts. DDP is
+/// FsdpSimulator over this plan with sharding_factor = 1 and FP32 param and
+/// reduce dtypes: every rank holds the full model, and the bucket AllReduce
+/// spans the world.
+plan::StepPlan BuildDdpSimPlan(const Workload& w, int64_t bucket_bytes);
 
 class FsdpSimulator {
  public:
@@ -163,23 +160,6 @@ class FsdpSimulator {
   sim::Topology topo_;
   sim::SimConstants c_;
   FsdpSimConfig cfg_;
-  plan::StepPlan plan_;
-};
-
-class DdpSimulator {
- public:
-  DdpSimulator(Workload workload, sim::Topology topo,
-               sim::SimConstants constants, DdpSimConfig config);
-
-  const plan::StepPlan& plan() const { return plan_; }
-
-  SimMetrics Run();
-
- private:
-  Workload w_;
-  sim::Topology topo_;
-  sim::SimConstants c_;
-  DdpSimConfig cfg_;
   plan::StepPlan plan_;
 };
 

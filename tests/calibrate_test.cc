@@ -41,15 +41,14 @@ std::vector<obs::StepProfile> SyntheticSteps(const sim::SimConstants& c,
   step.complete = true;
   const std::vector<int64_t> unit_bytes = {4096 * 4, 8192 * 4};
   double t = 0;
-  auto add = [&](plan::Op op, int unit, plan::Phase phase,
-                 obs::EventKind kind, double dur, int64_t resident) {
+  auto add = [&](plan::Op op, int unit, plan::Phase phase, double dur,
+                 int64_t resident) {
     obs::InstrProfile p;
     p.instr.op = op;
     p.instr.unit = unit;
     p.instr.phase = phase;
     p.label = std::string(plan::OpName(op)) + ":" + step.unit_names[unit];
     p.matched = true;
-    p.matched_kind = kind;
     p.t_begin_us = t;
     p.t_exec_us = t;
     p.t_end_us = t + dur;
@@ -64,15 +63,13 @@ std::vector<obs::StepProfile> SyntheticSteps(const sim::SimConstants& c,
         o.flops_per_param_sample * static_cast<double>(bytes / 4) *
         o.batch_samples;
     add(plan::Op::kUnshard, u, plan::Phase::kForward,
-        obs::EventKind::kAllGather, cm.AllGatherBase(bytes / g.size, g),
-        bytes);
+        cm.AllGatherBase(bytes / g.size, g), bytes);
     add(plan::Op::kCompute, u, plan::Phase::kForward,
-        obs::EventKind::kForward, comp.MatmulTime(flops, o.compute_dtype), 0);
+        comp.MatmulTime(flops, o.compute_dtype), 0);
     add(plan::Op::kCompute, u, plan::Phase::kBackward,
-        obs::EventKind::kBackward,
         comp.MatmulTime(2.0 * flops, o.compute_dtype), 0);
     add(plan::Op::kReduceGrad, u, plan::Phase::kBackward,
-        obs::EventKind::kReduceScatter, cm.ReduceScatter(bytes, g), bytes);
+        cm.ReduceScatter(bytes, g), bytes);
   }
   step.t_begin_us = 0;
   step.t_end_us = t;

@@ -167,7 +167,7 @@ TEST(PlanValidatorTest, RejectsInstructionAfterOptimStep) {
 }
 
 TEST(PlanValidatorTest, AcceptsReduceOnlyLogs) {
-  // DDP's executed plan records bucket reduces without computes.
+  // A comm-only log: ReduceScatter issues recorded without computes.
   plan::StepPlan p = MakePlan({"b0", "b1"}, {Reduce(0), Reduce(1)});
   const Status st = plan::PlanValidator{}.Check(p);
   EXPECT_TRUE(st.ok()) << st.message();

@@ -256,12 +256,20 @@ TEST(PlanBuilderTest, DdpPlanBucketsByBytes) {
   o.unit_bytes = {40, 60, 60, 60};  // root + 3 units
   plan::StepPlan p = plan::BuildDdpStepPlan({"[root]", "a", "b", "c"}, o);
   std::vector<int64_t> bucket_bytes;
+  std::vector<std::vector<int>> bucket_units;
   for (const plan::Instr& in : p.instrs) {
-    if (in.op == plan::Op::kReduceGrad) bucket_bytes.push_back(in.bytes);
+    EXPECT_NE(in.op, plan::Op::kReduceGrad) << "DDP reduces by AllReduce";
+    if (in.op == plan::Op::kAllReduceReplicas) {
+      bucket_bytes.push_back(in.bytes);
+      bucket_units.push_back(plan::CoveredUnits(in));
+    }
   }
   // c+b fill the first bucket (120 >= 100), a flushes at the last unit, the
-  // root reduces in its own final bucket.
+  // root reduces in its own final bucket. A bucket's `unit` is its last
+  // unit; the units before it ride in batch_units.
   EXPECT_EQ(bucket_bytes, (std::vector<int64_t>{120, 60, 40}));
+  EXPECT_EQ(bucket_units,
+            (std::vector<std::vector<int>>{{2, 3}, {1}, {0}}));
 }
 
 // ------------------------------------------------ pass semantics property
@@ -348,8 +356,9 @@ TEST(DdpExecutedPlanTest, RecordsBucketReducesAndWaits) {
     }
   });
   ASSERT_GT(num_buckets, 1);
-  // The recorded DDP plan passes the compiler's validator (bucketed
-  // AllReduce, no unshards — the gather checks don't apply). Instr::unit
+  // The recorded DDP plan passes the compiler's validator (one replica
+  // AllReduce per bucket, no unshards — the gather checks don't apply, and
+  // no ReduceScatter needs a backward to anchor it). Instr::unit
   // indexes buckets here, so size the name table to the bucket count.
   plan::StepPlan ddp_plan;
   ddp_plan.unit_names.assign(static_cast<size_t>(num_buckets), "");
@@ -358,7 +367,7 @@ TEST(DdpExecutedPlanTest, RecordsBucketReducesAndWaits) {
   EXPECT_TRUE(st.ok()) << st.message();
   int reduces = 0, waits = 0;
   for (const plan::Instr& in : executed) {
-    if (in.op == plan::Op::kReduceGrad) {
+    if (in.op == plan::Op::kAllReduceReplicas) {
       ++reduces;
       EXPECT_GT(in.bytes, 0);
     }

@@ -1,6 +1,9 @@
 // Schedule-simulator tests: the qualitative claims of the paper's evaluation
 // must hold as *relationships* in the simulation (who wins, what direction a
 // knob moves, where memory goes), independent of the calibration constants.
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "simfsdp/schedule.h"
@@ -29,13 +32,66 @@ TEST(WorkloadTest, FlopCountsScaleWithModel) {
   EXPECT_LT(fwd, 2.0 * w.total_params() * w.tokens_per_sample * 1.6);
 }
 
-TEST(DdpSimTest, SmallModelsFitLargeModelsOom) {
-  // Fig 6(a): DDP handles 611M, OOMs beyond ~2.28B on 80GB.
-  sim::Topology topo{1, 8};
-  DdpSimConfig cfg;
+// DDP is the one interpreter at F = 1 over the bucketed plan. Its timing,
+// traffic and OOM verdicts are pinned to the values the former dedicated DDP
+// loop produced (printed with %.17g). Memory is not pinned: the interpreter
+// also charges the unsharded gradient buffers and the head activations.
+struct DdpPin {
+  Workload w;
+  sim::Topology topo;
+  int64_t bucket_mib;
+  bool ckpt;
+  bool oom;
+  double iter_time_us, compute_busy_us, comm_busy_us, exposed_comm_us,
+      tflops_per_gpu, cross_host_bytes_per_gpu;
+};
+
+SimMetrics RunDdp(const DdpPin& p) {
+  FsdpSimConfig cfg;
+  cfg.sharding_factor = 1;
+  cfg.param_dtype = DType::kF32;
+  cfg.reduce_dtype = DType::kF32;
+  cfg.activation_checkpointing = p.ckpt;
   cfg.batch_per_gpu = 8;
-  EXPECT_FALSE(DdpSimulator(T5_611M(), topo, Constants(), cfg).Run().oom);
-  EXPECT_TRUE(DdpSimulator(T5_11B(), topo, Constants(), cfg).Run().oom);
+  return FsdpSimulator(p.w, p.topo, Constants(), cfg,
+                       BuildDdpSimPlan(p.w, p.bucket_mib << 20))
+      .Run();
+}
+
+TEST(DdpSimTest, MatchesPinnedDdpBaseline) {
+  const sim::Topology two{2, 8}, one{1, 8};
+  const double kB1Iter = 194244.41480142041, kB1Comm = 46981.507827199981;
+  const double kB1Exposed = 4407.9939136019093, kB1Tflops = 88.508274913540959;
+  const double kCompute611 = 189836.4208878185;
+  const std::vector<DdpPin> pins = {
+      {T5_611M(), two, 1, false, false, kB1Iter, kCompute611, kB1Comm,
+       kB1Exposed, kB1Tflops, 5030599680},
+      {T5_611M(), two, 25, false, false, kB1Iter, kCompute611, kB1Comm,
+       kB1Exposed, kB1Tflops, 5030599680},
+      {T5_611M(), two, 100, false, false, 195453.25908942049, kCompute611,
+       37325.560153599916, 5616.8382016019896, 87.960866683724618,
+       5030599680},
+      {T5_611M(), two, 4000, false, false, 222652.25556942041, kCompute611,
+       32799.334681599998, 32815.834681601904, 77.215647430545161,
+       5030599680},
+      {T5_611M(), one, 25, false, false, 191816.27043448703, kCompute611,
+       18638.82421333345, 1979.8495466685272, 89.628674495242265, 0},
+      // Fig 6(a): DDP OOMs beyond T5-611M on 80 GB.
+      {T5_2_28B(), one, 25, false, true, 0, 0, 0, 0, 0, 0},
+      {T5_11B(), one, 25, true, true, 0, 0, 0, 0, 0, 0},
+  };
+  for (const DdpPin& p : pins) {
+    SCOPED_TRACE(p.w.name + " " + std::to_string(p.topo.world()) +
+                 " GPUs, bucket " + std::to_string(p.bucket_mib) + " MiB");
+    const SimMetrics m = RunDdp(p);
+    EXPECT_EQ(m.oom, p.oom);
+    EXPECT_EQ(m.compute_busy_us, p.compute_busy_us);
+    EXPECT_EQ(m.comm_busy_us, p.comm_busy_us);
+    EXPECT_EQ(m.cross_host_bytes_per_gpu, p.cross_host_bytes_per_gpu);
+    EXPECT_NEAR(m.iter_time_us, p.iter_time_us, 1e-6);
+    EXPECT_NEAR(m.exposed_comm_us, p.exposed_comm_us, 1e-6);
+    EXPECT_NEAR(m.tflops_per_gpu, p.tflops_per_gpu, 1e-9);
+  }
 }
 
 TEST(FsdpSimTest, AccommodatesModelsDdpCannot) {
