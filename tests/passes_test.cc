@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "sim/allocator.h"
 #include "simfsdp/schedule.h"
 #include "simfsdp/workload.h"
+#include "tune/search_space.h"
 
 namespace fsdp {
 namespace {
@@ -201,6 +204,58 @@ TEST(HoistUnshardsTest, RespectsComputeBudget) {
   EXPECT_TRUE(plan::PlanValidator{}.Check(p).ok());
 }
 
+TEST(HoistUnshardsTest, LongHoistRemapsEveryLaterDep) {
+  // b's unshard crosses three computes of a. Later instructions point into
+  // the moved block (4), the shifted span (1..3) and before both (0).
+  plan::StepPlan p = MakePlan(
+      {"a", "b"},
+      {Unshard(0), Fwd(0, {0}), Fwd(0), Fwd(0), Unshard(1), Fwd(1, {4}),
+       Fwd(0, {1, 3, 4, 0})});
+  plan::PassOptions opt;
+  opt.max_hoist_computes = 8;
+  EXPECT_EQ(plan::HoistUnshards(p, opt), 1);
+  ASSERT_EQ(p.size(), 7);
+  EXPECT_EQ(p.Canonical()[1], "UNSHARD:b");
+  const std::vector<std::vector<int>> want{{}, {}, {0}, {}, {}, {1},
+                                           {2, 4, 1, 0}};
+  for (int i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(p.instrs[static_cast<size_t>(i)].deps,
+              want[static_cast<size_t>(i)])
+        << "instr " << i;
+  }
+  EXPECT_TRUE(plan::PlanValidator{}.Check(p).ok());
+}
+
+TEST(SinkReducesTest, LongSinkRemapsEveryLaterDep) {
+  // c's reduce chain (reduce + gradient free) sinks across three backward
+  // computes to just before b's reduce. Later instructions point into the
+  // moved chain (1, 2), the shifted span (3..5) and past both (6, 7).
+  const plan::Instr free_c = MakeInstr(plan::Op::kFreeGrad, 2,
+                                       plan::Phase::kBackward,
+                                       plan::Lane::kHost, {1});
+  plan::Instr optim = MakeInstr(plan::Op::kOptimStep, -1, plan::Phase::kNone,
+                                plan::Lane::kCompute, {1, 4, 2, 6, 7});
+  plan::StepPlan p = MakePlan(
+      {"a", "b", "c"},
+      {Bwd(2), Reduce(2, {0}), free_c, Bwd(1), Bwd(0), Bwd(0),
+       Reduce(1, {3}), Reduce(0, {5}), optim});
+  plan::PassOptions opt;
+  opt.max_sink_computes = 8;
+  EXPECT_EQ(plan::SinkReduces(p, opt), 1);
+  ASSERT_EQ(p.size(), 9);
+  EXPECT_EQ(p.instrs[4].op, plan::Op::kReduceGrad);
+  EXPECT_EQ(p.instrs[4].unit, 2);
+  EXPECT_EQ(p.instrs[5].op, plan::Op::kFreeGrad);
+  const std::vector<std::vector<int>> want{{}, {}, {}, {}, {0}, {4}, {1}, {3},
+                                           {4, 2, 5, 6, 7}};
+  for (int i = 0; i < p.size(); ++i) {
+    EXPECT_EQ(p.instrs[static_cast<size_t>(i)].deps,
+              want[static_cast<size_t>(i)])
+        << "instr " << i;
+  }
+  EXPECT_TRUE(plan::PlanValidator{}.Check(p).ok());
+}
+
 TEST(FuseAllGathersTest, BatchesAdjacentSmallUnshards) {
   plan::StepPlan p = MakePlan(
       {"a", "b", "c"},
@@ -287,6 +342,102 @@ TEST(PassManagerTest, DefaultPipelineReportsEveryPass) {
   EXPECT_EQ(res.applied[3].first, "fuse-reducescatters");
   EXPECT_GT(res.total_rewrites(), 0);
   EXPECT_TRUE(plan::PlanValidator{}.Check(p).ok());
+}
+
+// ------------------------------------------------- compiled-plan digests
+
+/// 64-bit FNV-1a over every field a compiled plan carries.
+class PlanDigest {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  void Int(int64_t v) { Bytes(&v, sizeof v); }
+  void Real(double v) { Bytes(&v, sizeof v); }
+  void Str(const std::string& s) {
+    Int(static_cast<int64_t>(s.size()));
+    Bytes(s.data(), s.size());
+  }
+  void Ints(const std::vector<int>& v) {
+    Int(static_cast<int64_t>(v.size()));
+    for (int x : v) Int(x);
+  }
+  void Plan(const plan::StepPlan& p) {
+    Int(static_cast<int64_t>(p.unit_names.size()));
+    for (const std::string& name : p.unit_names) Str(name);
+    Int(p.size());
+    for (const plan::Instr& in : p.instrs) {
+      Int(static_cast<int64_t>(in.op));
+      Int(in.unit);
+      Int(static_cast<int64_t>(in.phase));
+      Int(static_cast<int64_t>(in.seg));
+      Int(static_cast<int64_t>(in.lane));
+      Int(in.prefetch);
+      Int(in.microbatch);
+      Int(static_cast<int64_t>(in.axis));
+      Int(in.stage);
+      Int(in.peer_stage);
+      Int(in.bytes);
+      Ints(in.batch_units);
+      Int(in.retain);
+      Real(in.delay_us);
+      Ints(in.deps);
+    }
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
+/// Digest of every SearchSpace::Default grid point compiled against `in`:
+/// the candidate key and verdict, then each compiled plan and its
+/// per-pass rewrite counts.
+uint64_t CompiledGridDigest(const tune::TuneInputs& in) {
+  PlanDigest d;
+  for (const tune::TuneCandidate& cand :
+       tune::EnumerateCandidates(tune::SearchSpace::Default(in.topo))) {
+    tune::CompiledCandidate cc;
+    const Status st = tune::CompileCandidate(cand, in, &cc);
+    d.Str(cand.Key());
+    d.Int(st.ok());
+    if (!st.ok()) continue;
+    d.Plan(cc.plan);
+    for (const auto& [name, rewrites] : cc.passes.applied) {
+      d.Str(name);
+      d.Int(rewrites);
+    }
+  }
+  return d.value();
+}
+
+/// The autotuner's two acceptance inputs (perfbench plan_tune): 100 GB/s
+/// inter-host fabric, 80 GiB per GPU, the capacity also the simulator's.
+tune::TuneInputs AcceptanceInput(simfsdp::Workload w, sim::Topology topo,
+                                 int batch_per_gpu) {
+  tune::TuneInputs in;
+  in.workload = std::move(w);
+  in.topo = topo;
+  in.base.batch_per_gpu = batch_per_gpu;
+  in.constants.inter_host_bw_gbps = 100.0;
+  in.capacity_bytes = int64_t{80} << 30;
+  in.constants.hbm_bytes = in.capacity_bytes;
+  return in;
+}
+
+// Pins the compiler's output byte for byte: a rewrite of the pass
+// machinery must compile every candidate of the search to the same plan.
+TEST(PassDigestTest, CompiledGridMatchesPinnedDigests) {
+  const uint64_t t5 = CompiledGridDigest(
+      AcceptanceInput(simfsdp::T5_11B(), sim::Topology{2, 8}, 1));
+  EXPECT_EQ(t5, 0xfde0fbbb070e38f1ull) << std::hex << "0x" << t5;
+  const uint64_t gpt = CompiledGridDigest(
+      AcceptanceInput(simfsdp::GPT_175B(), sim::Topology{16, 8}, 2));
+  EXPECT_EQ(gpt, 0x660c87586e08a93dull) << std::hex << "0x" << gpt;
 }
 
 // ------------------------------------------------------ acceptance: latency
