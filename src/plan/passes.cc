@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <set>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -16,49 +15,47 @@ namespace {
 // Reordering machinery
 // ---------------------------------------------------------------------------
 
-/// Reorders plan.instrs so new position p holds old instruction order[p],
-/// then rewrites every dep index through the inverse permutation. Callers
-/// guarantee the permutation respects dependencies (no dep ends up pointing
+/// Moves the contiguous block [b, e) to start at position dst (dst < b:
+/// hoist; dst >= e: sink to just before old index dst). Only the span
+/// [min(b, dst), max(e, dst)) moves, so only instructions from its start on
+/// can hold a dep that changes: an earlier one points earlier still. Callers
+/// guarantee the move respects dependencies (no dep ends up pointing
 /// forward).
-void ApplyOrder(StepPlan& plan, const std::vector<int>& order) {
-  const int n = plan.size();
-  std::vector<int> inv(static_cast<size_t>(n), 0);
-  for (int p = 0; p < n; ++p) inv[static_cast<size_t>(order[p])] = p;
-  std::vector<Instr> out;
-  out.reserve(static_cast<size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    out.push_back(std::move(plan.instrs[static_cast<size_t>(order[p])]));
+void MoveBlock(StepPlan& plan, int b, int e, int dst) {
+  const int lo = std::min(b, dst);
+  const int hi = std::max(e, dst);
+  const auto at = [&](int k) { return plan.instrs.begin() + k; };
+  if (dst < b) {
+    std::rotate(at(dst), at(b), at(e));
+  } else {
+    std::rotate(at(b), at(e), at(dst));
   }
-  for (Instr& in : out) {
-    for (int& d : in.deps) d = inv[static_cast<size_t>(d)];
+  // Old index -> new index. Hoist: the block lands at dst and [dst, b)
+  // shifts up by its length. Sink: [e, dst) shifts down by the block's
+  // length and the block lands just before old dst.
+  const auto remap = [&](int k) {
+    if (k < lo || k >= hi) return k;
+    if (dst < b) return k >= b ? dst + (k - b) : k + (e - b);
+    return k >= e ? k - (e - b) : k + (dst - e);
+  };
+  for (int i = lo; i < plan.size(); ++i) {
+    for (int& d : plan.instrs[static_cast<size_t>(i)].deps) d = remap(d);
   }
-  plan.instrs = std::move(out);
 }
 
-/// Moves the contiguous block [b, e) to start at position dst (dst < b:
-/// hoist; dst >= e: sink to just before old index dst).
-void MoveBlock(StepPlan& plan, int b, int e, int dst) {
-  const int n = plan.size();
-  std::vector<int> order;
-  order.reserve(static_cast<size_t>(n));
-  if (dst < b) {
-    for (int k = 0; k < dst; ++k) order.push_back(k);
-    for (int k = b; k < e; ++k) order.push_back(k);
-    for (int k = dst; k < b; ++k) order.push_back(k);
-    for (int k = e; k < n; ++k) order.push_back(k);
-  } else {
-    for (int k = 0; k < b; ++k) order.push_back(k);
-    for (int k = e; k < dst; ++k) order.push_back(k);
-    for (int k = b; k < e; ++k) order.push_back(k);
-    for (int k = dst; k < n; ++k) order.push_back(k);
-  }
-  ApplyOrder(plan, order);
+/// The units CoveredUnits(in) lists, without building the list: `unit`,
+/// then `batch_units`; none when `unit` < 0.
+int NumCovered(const Instr& in) {
+  return in.unit < 0 ? 0 : 1 + static_cast<int>(in.batch_units.size());
+}
+int CoveredUnit(const Instr& in, int k) {
+  return k == 0 ? in.unit : in.batch_units[static_cast<size_t>(k - 1)];
 }
 
 bool SharesUnit(const Instr& a, const Instr& b) {
-  for (int ua : CoveredUnits(a)) {
-    for (int ub : CoveredUnits(b)) {
-      if (ua == ub) return true;
+  for (int ka = 0; ka < NumCovered(a); ++ka) {
+    for (int kb = 0; kb < NumCovered(b); ++kb) {
+      if (CoveredUnit(a, ka) == CoveredUnit(b, kb)) return true;
     }
   }
   return false;
@@ -110,7 +107,8 @@ void EraseRemapped(StepPlan& plan, const std::vector<char>& removed,
 /// table; -1 if any covered unit is out of table range.
 int64_t CoveredBytes(const Instr& in, const std::vector<int64_t>& table) {
   int64_t total = 0;
-  for (int u : CoveredUnits(in)) {
+  for (int k = 0; k < NumCovered(in); ++k) {
+    const int u = CoveredUnit(in, k);
     if (u < 0 || u >= static_cast<int>(table.size())) return -1;
     total += table[static_cast<size_t>(u)];
   }
@@ -143,18 +141,27 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // Stages with any instruction in this plan. Per-rank executed logs and
   // FilterStage projections only carry one stage; send/recv matching is
   // skipped against stages the plan does not contain.
-  std::set<int> stages_present;
+  std::vector<char> stages_present;
+  int mb_lo = 0, mb_hi = 0;
   for (int i = 0; i < n; ++i) {
     const Instr& in = plan.instrs[static_cast<size_t>(i)];
-    for (int u : CoveredUnits(in)) {
+    for (int k = 0; k < NumCovered(in); ++k) {
+      const int u = CoveredUnit(in, k);
       if (u < 0 || u >= nu) return fail(i, "unit index out of range");
-    }
-    if (in.op == Op::kUnshard) {
-      for (int u : CoveredUnits(in)) managed[static_cast<size_t>(u)] = 1;
+      if (in.op == Op::kUnshard) managed[static_cast<size_t>(u)] = 1;
     }
     if (in.op == Op::kCompute) has_compute = true;
-    if (in.stage >= 0) stages_present.insert(in.stage);
+    if (in.stage >= static_cast<int>(stages_present.size())) {
+      stages_present.resize(static_cast<size_t>(in.stage) + 1, 0);
+    }
+    if (in.stage >= 0) stages_present[static_cast<size_t>(in.stage)] = 1;
+    if (i == 0 || in.microbatch < mb_lo) mb_lo = in.microbatch;
+    if (i == 0 || in.microbatch > mb_hi) mb_hi = in.microbatch;
   }
+  auto has_stage = [&](int stage) {
+    return stage >= 0 && stage < static_cast<int>(stages_present.size()) &&
+           stages_present[static_cast<size_t>(stage)];
+  };
 
   std::vector<char> gathered(static_cast<size_t>(nu), 0);
   for (int u = 0; u < nu; ++u) {
@@ -163,8 +170,17 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   std::vector<char> grad_live(static_cast<size_t>(nu), 0);
   std::vector<char> act_live(static_cast<size_t>(nu), 0);
   std::vector<int> last_bwd_mb(static_cast<size_t>(nu), -1);
-  // Per-microbatch reduction bookkeeping for duplicate + coverage checks.
-  std::map<int, std::set<int>> bwd_units, reduced_units;
+  // Per-microbatch reduction bookkeeping for duplicate + coverage checks,
+  // one row of units per microbatch: which units ran backward, which were
+  // reduced, and whether the microbatch reduces anything at all.
+  const size_t mbs = static_cast<size_t>(mb_hi - mb_lo + 1);
+  auto cell = [&](int mb, int u) {
+    return static_cast<size_t>(mb - mb_lo) * static_cast<size_t>(nu) +
+           static_cast<size_t>(u);
+  };
+  std::vector<char> bwd_units(mbs * static_cast<size_t>(nu), 0);
+  std::vector<char> reduced_units(mbs * static_cast<size_t>(nu), 0);
+  std::vector<char> syncs(mbs, 0);
   // Pipeline boundary matching: sends keyed by (sender stage, receiver
   // stage, phase, microbatch) queue up until the matching recv consumes
   // them. Plan order is issue order, so a recv whose send appears later
@@ -210,7 +226,8 @@ Status PlanValidator::Check(const StepPlan& plan) const {
 
     switch (in.op) {
       case Op::kUnshard:
-        for (int u : CoveredUnits(in)) {
+        for (int k = 0; k < NumCovered(in); ++k) {
+          const int u = CoveredUnit(in, k);
           if (gathered[static_cast<size_t>(u)]) {
             return fail(i, "redundant unshard: unit already gathered");
           }
@@ -233,7 +250,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
           last_bwd_mb[u] = in.microbatch;
           grad_live[u] = 1;
           if (in.seg != Seg::kRootHead) {
-            bwd_units[in.microbatch].insert(in.unit);
+            bwd_units[cell(in.microbatch, in.unit)] = 1;
           }
         } else if (in.phase == Phase::kForward && in.seg == Seg::kMain) {
           act_live[u] = 1;
@@ -242,7 +259,8 @@ Status PlanValidator::Check(const StepPlan& plan) const {
       }
       case Op::kReduceGrad:
         if (check_reductions) {
-          for (int u : CoveredUnits(in)) {
+          for (int k = 0; k < NumCovered(in); ++k) {
+            const int u = CoveredUnit(in, k);
             // A comm-only log (ReduceScatter issues recorded without the
             // computes, as PlanValidatorTest.AcceptsReduceOnlyLogs builds)
             // has no backward to anchor a reduction to — skip.
@@ -252,10 +270,13 @@ Status PlanValidator::Check(const StepPlan& plan) const {
                                  " without a backward compute this "
                                  "microbatch");
             }
-            if (!reduced_units[in.microbatch].insert(u).second) {
+            char& reduced = reduced_units[cell(in.microbatch, u)];
+            if (reduced) {
               return fail(i, "duplicate reduction of unit " +
                                  std::to_string(u) + " this microbatch");
             }
+            reduced = 1;
+            syncs[static_cast<size_t>(in.microbatch - mb_lo)] = 1;
           }
         }
         break;
@@ -297,7 +318,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
         if (in.stage < 0 || in.peer_stage < 0) {
           return fail(i, "recv without stage/peer-stage tags");
         }
-        if (stages_present.count(in.peer_stage) == 0) break;
+        if (!has_stage(in.peer_stage)) break;
         auto& q = pending_sends[{in.peer_stage, in.stage,
                                  static_cast<int>(in.phase), in.microbatch}];
         if (q.empty()) {
@@ -324,7 +345,7 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // consumed; a dangling send is a peer blocked forever at step boundary.
   for (const auto& [key, q] : pending_sends) {
     if (q.empty()) continue;
-    if (stages_present.count(std::get<1>(key)) == 0) continue;
+    if (!has_stage(std::get<1>(key))) continue;
     return fail(q.front(), "send never matched by a recv on stage " +
                                std::to_string(std::get<1>(key)));
   }
@@ -333,9 +354,10 @@ Status PlanValidator::Check(const StepPlan& plan) const {
   // backward ran in it — a dropped reduction is the classic silent-wrong
   // rewrite.
   if (check_reductions) {
-    for (const auto& [mb, red] : reduced_units) {
-      for (int u : bwd_units[mb]) {
-        if (red.count(u) == 0) {
+    for (int mb = mb_lo; mb <= mb_hi; ++mb) {
+      if (!syncs[static_cast<size_t>(mb - mb_lo)]) continue;
+      for (int u = 0; u < nu; ++u) {
+        if (bwd_units[cell(mb, u)] && !reduced_units[cell(mb, u)]) {
           return Status::Invalid(
               "microbatch " + std::to_string(mb) + " syncs but drops the "
               "reduction of unit " + std::to_string(u));
@@ -651,6 +673,9 @@ PassResult PassManager::Run(StepPlan& plan) const {
                             << st.message());
     result.applied.emplace_back(name, n);
   }
+  // Reordering keeps the builder's growth slack; a caller that keeps many
+  // compiled plans (the tuner's pool) should not pay for it.
+  plan.instrs.shrink_to_fit();
   return result;
 }
 
