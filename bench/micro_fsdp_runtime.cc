@@ -143,7 +143,9 @@ void BM_PlanCompilerPasses(benchmark::State& state) {
   // The plan compiler on a many-small-units workload (the runtime shape
   // this binary benchmarks, scaled up): measures the rewrite pipeline's own
   // host cost, and reports the calibrated-sim schedule win as counters —
-  // exposed communication time before/after PassManager::Default.
+  // exposed communication time before/after PassManager::Default. The
+  // 512-layer plan has thousands of instructions, where a rewrite that
+  // costs O(plan size) per moved block would dominate.
   simfsdp::TransformerShape shape;
   shape.name = "many-small";
   shape.hidden = 256;
@@ -178,7 +180,7 @@ void BM_PlanCompilerPasses(benchmark::State& state) {
   state.counters["instrs"] = base.plan().size();
   state.SetItemsProcessed(state.iterations() * base.plan().size());
 }
-BENCHMARK(BM_PlanCompilerPasses)->Arg(32)->Arg(128);
+BENCHMARK(BM_PlanCompilerPasses)->Arg(32)->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace fsdp

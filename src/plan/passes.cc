@@ -24,11 +24,11 @@ namespace {
 void MoveBlock(StepPlan& plan, int b, int e, int dst) {
   const int lo = std::min(b, dst);
   const int hi = std::max(e, dst);
-  const auto at = [&](int k) { return plan.instrs.begin() + k; };
+  const auto first = plan.instrs.begin();
   if (dst < b) {
-    std::rotate(at(dst), at(b), at(e));
+    std::rotate(first + dst, first + b, first + e);
   } else {
-    std::rotate(at(b), at(e), at(dst));
+    std::rotate(first + b, first + e, first + dst);
   }
   // Old index -> new index. Hoist: the block lands at dst and [dst, b)
   // shifts up by its length. Sink: [e, dst) shifts down by the block's

@@ -5,6 +5,7 @@
 // validation, and multi-rank multi-iteration stress for TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -125,32 +126,37 @@ TEST(WorkHandle, KeepaliveOutlivesCallerScope) {
 TEST(AsyncOverlap, IssueComputeWaitBeatsSynchronous) {
   // With L ms of injected comm latency and C ms of compute, sync costs
   // ~L + C while async issue -> compute -> wait costs ~max(L, C). Generous
-  // margins keep this robust on loaded CI machines.
+  // margins keep this robust on loaded CI machines, and each schedule keeps
+  // its best of kAttempts: a rank thread descheduled by other tests inflates
+  // one attempt, not the minimum.
   const int w = 2;
   const double kLatencyMs = 30.0, kComputeMs = 30.0;
+  constexpr int kAttempts = 3;
   auto comm = std::make_shared<comm::Communicator>(w);
   comm->SetInjectedLatency(/*base_us=*/kLatencyMs * 1000);
-  std::vector<double> sync_ms(w), async_ms(w);
+  std::vector<double> sync_ms(w, 1e300), async_ms(w, 1e300);
   RunOnRanks(w, [&](int r) {
     comm::ProcessGroup pg(comm, r);
     auto compute = [&] {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           kComputeMs));
     };
-    Tensor t = Tensor::Ones({16});
-    double t0 = NowMs();
-    pg.AllReduce(t);  // synchronous
-    compute();
-    sync_ms[r] = NowMs() - t0;
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
+      Tensor t = Tensor::Ones({16});
+      double t0 = NowMs();
+      pg.AllReduce(t);  // synchronous
+      compute();
+      sync_ms[r] = std::min(sync_ms[r], NowMs() - t0);
 
-    Tensor u = Tensor::Ones({16});
-    comm::CollectiveOptions opts;
-    opts.async = true;
-    t0 = NowMs();
-    comm::Work work = pg.AllReduce(u, opts);
-    compute();
-    work.Wait();
-    async_ms[r] = NowMs() - t0;
+      Tensor u = Tensor::Ones({16});
+      comm::CollectiveOptions opts;
+      opts.async = true;
+      t0 = NowMs();
+      comm::Work work = pg.AllReduce(u, opts);
+      compute();
+      work.Wait();
+      async_ms[r] = std::min(async_ms[r], NowMs() - t0);
+    }
   });
   for (int r = 0; r < w; ++r) {
     EXPECT_LT(async_ms[r], 0.8 * sync_ms[r])
